@@ -17,6 +17,7 @@ import numpy as np
 from .descent import Trajectory
 from .geometry import SpectrumBounds, TheoryPlan
 from .models import Activation, GLMModel, LinearModel, Model
+from .oracle import pseudo_inverse_solution
 from .potentials import in_working_ball
 
 Array = np.ndarray
@@ -226,13 +227,8 @@ def check_tight_line(traj: Trajectory, coefficient: float) -> BoundReport:
 
 def sgd_run_survives(traj: Trajectory, nu: float, alpha: float) -> bool:
     """True when every recorded state stayed inside the half working ball."""
-    for idx in range(len(traj.iters)):
-        if not in_working_ball(
-            float(traj.dist_init[idx]), float(traj.misfit[idx]), nu / 2.0,
-            traj.misfit0, alpha,
-        ):
-            return False
-    return True
+    return bool(np.all(in_working_ball(traj.dist_init, traj.misfit, nu / 2.0,
+                                       traj.misfit0, alpha)))
 
 
 def check_sgd_theorem(
@@ -331,20 +327,13 @@ def invert_activation(act: Activation, targets: Array, tol: float = 1e-12) -> Ar
     return 0.5 * (lo + hi)
 
 
-def _rowspace_solve(X: Array, z: Array) -> Array:
-    gram = X @ X.T
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= sv[0] * 1e-12:
-        raise ValueError("X is rank deficient; the closest optimum needs full row rank")
-    return X.T @ np.linalg.solve(gram, z)
-
-
 def closest_optimum_glm(model: GLMModel | LinearModel, theta0: Array) -> Array:
     """Zero-residual parameter nearest to theta0, in closed form.
 
     Splits theta0 into its null-space component (kept) plus the row-space
     solution X^T (X X^T)^{-1} phi^{-1}(y). Verified to interpolate the labels
-    before returning.
+    before returning. A rank-deficient X raises numpy's LinAlgError, a
+    ValueError.
     """
     theta0 = np.asarray(theta0, dtype=float)
     X = model.X
@@ -352,8 +341,8 @@ def closest_optimum_glm(model: GLMModel | LinearModel, theta0: Array) -> Array:
         z = invert_activation(model.act, model.y)
     else:
         z = model.y
-    theta_dagger = _rowspace_solve(X, z)
-    null_part = theta0 - _rowspace_solve(X, X @ theta0)
+    theta_dagger = pseudo_inverse_solution(X, z)
+    null_part = theta0 - pseudo_inverse_solution(X, X @ theta0)
     theta_star = null_part + theta_dagger
     resid = model.misfit(theta_star)
     if resid > 1e-8 * (1.0 + float(np.linalg.norm(model.y))):

@@ -40,6 +40,7 @@ from .descent import (
 from .geometry import (
     CertificationError,
     SpectrumBounds,
+    check_capacity,
     gd_plan,
     probe_spectrum,
     sgd_plan,
@@ -56,6 +57,7 @@ from .models import (
 )
 from .oracle import CapacityError, lowrank_init
 from .potentials import (
+    AnchorSet,
     PackingInfeasibleError,
     build_packing,
     default_anchor_count,
@@ -88,6 +90,15 @@ def make_activation(cfg: RunConfig) -> Activation:
     return ACTIVATIONS[cfg.activation](cfg.activation_scale)
 
 
+def lowrank_instance(n: int, seed: int, d: int = 100, r: int = 4) -> tuple[LowRankModel, Array]:
+    """Synthetic low-rank regression: Gaussian features, Rademacher labels."""
+    rng = np.random.default_rng(seed)
+    Xs = rng.standard_normal((n, d, d))
+    y = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    theta0 = lowrank_init(d, r, n, float(np.linalg.norm(y)), seed=seed)
+    return LowRankModel(Xs, y, d, r), theta0
+
+
 def build_model(cfg: RunConfig) -> tuple[Model, Array]:
     """Instantiate the configured model family and its starting parameter."""
     rng = np.random.default_rng(cfg.data_seed)
@@ -111,10 +122,7 @@ def build_model(cfg: RunConfig) -> tuple[Model, Array]:
         n, d, r = cfg.n, cfg.d, cfg.r
         if n < 1 or d < 1 or not 1 <= r <= d:
             raise ConfigError("lowrank needs model.n >= 1 and 1 <= model.r <= model.d")
-        Xs = rng.standard_normal((n, d, d))
-        y = rng.integers(0, 2, size=n) * 2.0 - 1.0  # Rademacher labels
-        theta0 = lowrank_init(d, r, n, float(np.linalg.norm(y)), seed=cfg.data_seed)
-        return LowRankModel(Xs, y, d, r), theta0
+        return lowrank_instance(n, cfg.data_seed, d, r)
     if family == "net":
         n, d, k = cfg.n, cfg.d, cfg.k
         if n < 1 or d < 1 or k < 1:
@@ -218,22 +226,44 @@ def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: floa
     return scale * misfit0 / alpha0
 
 
-# ---------------------------------------------------------------------------
-# Run pipeline
-# ---------------------------------------------------------------------------
-
-def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+def prepare(cfg: RunConfig) -> tuple[Model, Array, float, SpectrumBounds]:
+    """Build the configured instance and probe its Jacobian spectrum around theta0."""
     model, theta0 = build_model(cfg)
+    check_capacity(model)
     misfit0 = model.misfit(theta0)
-    tol = tol_value(cfg)
-    if tol is None:
-        tol = default_tolerance(model.y)
-
     radius = auto_probe_radius(cfg, model, theta0, misfit0)
     bounds = probe_spectrum(
         model, theta0, radius, samples=cfg.probe_samples,
         seed=cfg.data_seed + _PROBE_SEED_OFFSET,
     )
+    return model, theta0, misfit0, bounds
+
+
+def anchor_packing(cfg: RunConfig, model: Model, theta0: Array, misfit0: float,
+                   bounds: SpectrumBounds) -> AnchorSet:
+    """The anchor packing around theta0, sized from the probed alpha and beta."""
+    K = anchor_count_value(cfg)
+    if K is None:
+        K = default_anchor_count(model.n, bounds.beta, bounds.alpha)
+    return build_packing(
+        theta0,
+        radius_Rp=1.25 * (bounds.beta / bounds.alpha) ** (1.0 / model.p)
+        * misfit0 / bounds.alpha,
+        epsilon=misfit0 / bounds.alpha,
+        K=K,
+        seed=cfg.data_seed + _PACKING_SEED_OFFSET,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Run pipeline
+# ---------------------------------------------------------------------------
+
+def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+    model, theta0, misfit0, bounds = prepare(cfg)
+    tol = tol_value(cfg)
+    if tol is None:
+        tol = default_tolerance(model.y)
     eta, eta_note = resolve_eta(cfg, model, theta0, bounds)
 
     summary: list[str] = []
@@ -286,18 +316,8 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         )
         anchors = None
         if cfg.anchors:
-            K = anchor_count_value(cfg)
-            if K is None:
-                K = default_anchor_count(model.n, bounds.beta, bounds.alpha)
-            anchors = build_packing(
-                theta0,
-                radius_Rp=1.25 * (bounds.beta / bounds.alpha) ** (1.0 / model.p)
-                * misfit0 / bounds.alpha,
-                epsilon=misfit0 / bounds.alpha,
-                K=K,
-                seed=cfg.data_seed + _PACKING_SEED_OFFSET,
-            )
-            summary.append(f"anchors: K={K} epsilon={anchors.epsilon:.10g} "
+            anchors = anchor_packing(cfg, model, theta0, misfit0, bounds)
+            summary.append(f"anchors: K={anchors.K} epsilon={anchors.epsilon:.10g} "
                            f"radius={anchors.radius_Rp:.10g}")
         run_cfg = OptimConfig(
             eta=eta, max_iters=cfg.iters, tol_misfit=tol, seed=cfg.opt_seed,
@@ -317,7 +337,7 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             summary.append(f"eta={eta:.17g} ({eta_note})")
         loss_fn = GeneralLoss(value=model.loss, grad=model.gradient, smoothness_L=smooth_L)
         loss0 = model.loss(theta0)
-        pl_radius = math.sqrt(8.0 * loss0 / mu) if loss0 > 0 else radius
+        pl_radius = math.sqrt(8.0 * loss0 / mu) if loss0 > 0 else bounds.radius
         pl_report = local_pl_check(loss_fn, theta0, pl_radius, mu,
                                    samples=cfg.probe_samples,
                                    seed=cfg.data_seed + _PROBE_SEED_OFFSET)
@@ -350,15 +370,6 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 # ---------------------------------------------------------------------------
 # Experiment drivers
 # ---------------------------------------------------------------------------
-
-def lowrank_instance(n: int, seed: int, d: int = 100, r: int = 4) -> tuple[LowRankModel, Array]:
-    """Synthetic low-rank regression: Gaussian features, Rademacher labels."""
-    rng = np.random.default_rng(seed)
-    Xs = rng.standard_normal((n, d, d))
-    y = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    theta0 = lowrank_init(d, r, n, float(np.linalg.norm(y)), seed=seed)
-    return LowRankModel(Xs, y, d, r), theta0
-
 
 def run_lowrank_experiment(
     n: int, seed: int, iters: int = 200, d: int = 100, r: int = 4
@@ -427,13 +438,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_with_overrides(args)
-    model, theta0 = build_model(cfg)
-    misfit0 = model.misfit(theta0)
-    radius = auto_probe_radius(cfg, model, theta0, misfit0)
-    bounds = probe_spectrum(
-        model, theta0, radius, samples=cfg.probe_samples,
-        seed=cfg.data_seed + _PROBE_SEED_OFFSET,
-    )
+    model, theta0, misfit0, bounds = prepare(cfg)
     assumptions = verify_assumptions(
         model, bounds, regime=cfg.regime, lam=cfg.lam,
         samples=max(8, cfg.probe_samples // 2),
@@ -516,25 +521,9 @@ def cmd_sgd_martingale(args) -> int:
     cfg = _load_with_overrides(args)
     if cfg.optimizer != "sgd":
         raise ConfigError("sgd-martingale needs optimizer.kind = sgd")
-    model, theta0 = build_model(cfg)
-    misfit0 = model.misfit(theta0)
-    radius = auto_probe_radius(cfg, model, theta0, misfit0)
-    bounds = probe_spectrum(
-        model, theta0, radius, samples=cfg.probe_samples,
-        seed=cfg.data_seed + _PROBE_SEED_OFFSET,
-    )
+    model, theta0, misfit0, bounds = prepare(cfg)
     plan = sgd_plan(bounds, misfit0, nu=cfg.nu, regime=cfg.regime, eta=eta_value(cfg))
-    K = anchor_count_value(cfg)
-    if K is None:
-        K = default_anchor_count(model.n, bounds.beta, bounds.alpha)
-    anchors = build_packing(
-        theta0,
-        radius_Rp=1.25 * (bounds.beta / bounds.alpha) ** (1.0 / model.p)
-        * misfit0 / bounds.alpha,
-        epsilon=misfit0 / bounds.alpha,
-        K=K,
-        seed=cfg.data_seed + _PACKING_SEED_OFFSET,
-    )
+    anchors = anchor_packing(cfg, model, theta0, misfit0, bounds)
     run_cfg = OptimConfig(
         eta=plan.eta, max_iters=cfg.iters, seed=cfg.opt_seed, record_thetas=True,
     )
@@ -545,14 +534,11 @@ def cmd_sgd_martingale(args) -> int:
     save_packing(anchors, out / "anchors.txt")
     worst = -math.inf
     checked = 0
+    inside = in_working_ball(traj.dist_init, traj.misfit, plan.nu / 2.0, misfit0, bounds.alpha)
     with open(out / "martingale.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iter,in_half_ball,drift_misfit,drift_dist,drift_potential\n")
         for idx in range(len(traj.iters)):
-            inside = in_working_ball(
-                float(traj.dist_init[idx]), float(traj.misfit[idx]),
-                plan.nu / 2.0, misfit0, bounds.alpha,
-            )
-            if inside:
+            if inside[idx]:
                 drift = exact_conditional_drift(
                     model, traj.thetas[idx], plan.eta, anchors, bounds.alpha
                 )

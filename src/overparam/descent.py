@@ -1,9 +1,11 @@
-"""Descent loops with per-iteration trajectory recording.
+"""Descent with per-iteration trajectory recording.
 
-Three loops live here: full-batch gradient descent, single-sample stochastic
-gradient descent, and gradient descent on a general loss under a local
-gradient-dominance condition. A single run is strictly sequential; independent
-runs may execute concurrently and finished trajectories are immutable.
+One loop, theta <- theta - eta * g(theta), serves three entry points that
+differ only in g and in what they monitor: full-batch gradient descent,
+single-sample stochastic gradient descent, and gradient descent on a general
+loss under a local gradient-dominance condition. A single run is strictly
+sequential; independent runs may execute concurrently and finished
+trajectories are immutable.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ class Trajectory:
     thetas: Array | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.iters)
-
-    def row_count(self) -> int:
         return len(self.iters)
 
     # -- serialization -----------------------------------------------------
@@ -252,6 +251,68 @@ class _Recorder:
         )
 
 
+def _descend(
+    theta0: Array,
+    cfg: OptimConfig,
+    measure: Callable[[Array], tuple[float, float]],
+    direction: Callable[[int, Array], Array],
+    potential: Callable[[Array, float, float], float],
+    anchored: Callable[[Array, float], float] | None = None,
+    stationary_exit: bool = True,
+) -> Trajectory:
+    """The loop of every run: theta <- theta - eta * direction(tau, theta).
+
+    measure(theta) returns (loss, misfit); potential(theta, misfit, path_len)
+    fills the gd_potential column and anchored(theta, misfit) the
+    sgd_potential column. Overflow raises no warning: a non-finite loss ends
+    the run as "non_finite" with abort_iter set.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.asarray(theta0, dtype=float).copy()
+        loss, misfit = measure(theta)
+        rec = _Recorder(theta, misfit, cfg)
+        path_len = step_norm = 0.0
+
+        def record(tau: int) -> None:
+            sgd = math.nan if anchored is None else anchored(theta, misfit)
+            rec.record(tau, theta, loss, misfit, path_len, step_norm,
+                       potential(theta, misfit, path_len), sgd)
+
+        record(0)
+        termination = "max_iters"
+        abort_iter = None
+        for tau in range(1, cfg.max_iters + 1):
+            if misfit <= cfg.tol_misfit:
+                termination = "tol"
+                break
+            g = direction(tau, theta)
+            if stationary_exit and not np.any(g):
+                record(tau - 1)
+                termination = "stationary"
+                break
+            step = cfg.eta * g
+            theta = theta - step
+            step_norm = float(np.linalg.norm(step))
+            path_len += step_norm
+            loss, misfit = measure(theta)
+            terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
+            if tau % cfg.record_every == 0 or terminal:
+                record(tau)
+            if not math.isfinite(loss):
+                termination = "non_finite"
+                abort_iter = tau
+                break
+            if misfit <= cfg.tol_misfit:
+                termination = "tol"
+                break
+        return rec.finish(theta, termination, abort_iter)
+
+
+def _least_squares(model: Model, theta: Array) -> tuple[float, float]:
+    misfit = model.misfit(theta)
+    return 0.5 * misfit**2, misfit
+
+
 def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     """Full-batch descent theta <- theta - eta * J^T r, deterministically.
 
@@ -259,44 +320,11 @@ def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     ("stationary"), or when the loss turns non-finite ("non_finite", with the
     offending iteration recorded as abort_iter).
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    misfit = model.misfit(theta)
-    rec = _Recorder(theta, misfit, cfg)
-    loss = 0.5 * misfit**2
-    path_len = 0.0
-    rec.record(0, theta, loss, misfit, path_len, 0.0, misfit)
-
-    termination = "max_iters"
-    abort_iter = None
-    step_norm = 0.0
-    for tau in range(1, cfg.max_iters + 1):
-        if misfit <= cfg.tol_misfit:
-            termination = "tol"
-            break
-        g = model.gradient(theta)
-        if not np.any(g):
-            rec.record(tau - 1, theta, loss, misfit, path_len, step_norm,
-                       misfit + cfg.potential_zeta * path_len)
-            termination = "stationary"
-            break
-        step = cfg.eta * g
-        theta = theta - step
-        step_norm = float(np.linalg.norm(step))
-        path_len += step_norm
-        misfit = model.misfit(theta)
-        loss = 0.5 * misfit**2
-        potential = misfit + cfg.potential_zeta * path_len
-        terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
-        if tau % cfg.record_every == 0 or terminal:
-            rec.record(tau, theta, loss, misfit, path_len, step_norm, potential)
-        if not math.isfinite(loss):
-            termination = "non_finite"
-            abort_iter = tau
-            break
-        if misfit <= cfg.tol_misfit:
-            termination = "tol"
-            break
-    return rec.finish(theta, termination, abort_iter)
+    return _descend(
+        theta0, cfg, lambda theta: _least_squares(model, theta),
+        direction=lambda tau, theta: model.gradient(theta),
+        potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
+    )
 
 
 def sgd_index_stream(seed: int, n: int, length: int) -> Array:
@@ -324,47 +352,21 @@ def run_sgd(
         raise ValueError("SGD requires cfg.seed")
     if anchors is not None and alpha is None:
         raise ValueError("anchored potential recording needs alpha")
-    theta = np.asarray(theta0, dtype=float).copy()
-    misfit = model.misfit(theta)
-    rec = _Recorder(theta, misfit, cfg)
-
-    def anchored_potential(th: Array, mis: float) -> float:
-        if anchors is None:
-            return math.nan
-        dists = np.linalg.norm(anchors.anchors - th[None, :], axis=1)
-        return 12.0 * mis + (alpha / anchors.K) * float(dists.sum())
-
-    loss = 0.5 * misfit**2
-    path_len = 0.0
-    rec.record(0, theta, loss, misfit, path_len, 0.0, misfit, anchored_potential(theta, misfit))
-
     indices = sgd_index_stream(cfg.seed, model.n, cfg.max_iters)
-    termination = "max_iters"
-    abort_iter = None
-    for tau in range(1, cfg.max_iters + 1):
-        if misfit <= cfg.tol_misfit:
-            termination = "tol"
-            break
-        gamma = int(indices[tau - 1])
-        step = cfg.eta * model.per_sample_gradient(theta, gamma)
-        theta = theta - step
-        step_norm = float(np.linalg.norm(step))
-        path_len += step_norm
-        misfit = model.misfit(theta)
-        loss = 0.5 * misfit**2
-        terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
-        if tau % cfg.record_every == 0 or terminal:
-            potential = misfit + cfg.potential_zeta * path_len
-            rec.record(tau, theta, loss, misfit, path_len, step_norm, potential,
-                       anchored_potential(theta, misfit))
-        if not math.isfinite(loss):
-            termination = "non_finite"
-            abort_iter = tau
-            break
-        if misfit <= cfg.tol_misfit:
-            termination = "tol"
-            break
-    return rec.finish(theta, termination, abort_iter)
+
+    def anchored_potential(theta: Array, misfit: float) -> float:
+        dists = np.linalg.norm(anchors.anchors - theta[None, :], axis=1)
+        return 12.0 * misfit + (alpha / anchors.K) * float(dists.sum())
+
+    # One sample's gradient can vanish at a point that is not stationary for
+    # the full loss, so a zero step does not end the run.
+    return _descend(
+        theta0, cfg, lambda theta: _least_squares(model, theta),
+        direction=lambda tau, theta: model.per_sample_gradient(theta, int(indices[tau - 1])),
+        potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
+        anchored=None if anchors is None else anchored_potential,
+        stationary_exit=False,
+    )
 
 
 @dataclass(frozen=True)
@@ -393,46 +395,19 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
         raise ValueError(
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
-    theta = np.asarray(theta0, dtype=float).copy()
-    loss = float(loss_fn.value(theta))
-    root = math.sqrt(max(loss, 0.0))
-    rec = _Recorder(theta, root, cfg)
-    path_len = 0.0
+    start = np.array(theta0, dtype=float)
 
-    def potential(th: Array, root_loss: float) -> float:
-        return math.sqrt(mu / 8.0) * float(np.linalg.norm(th - rec.theta0)) + root_loss
-
-    rec.record(0, theta, loss, root, path_len, 0.0, potential(theta, root))
-    termination = "max_iters"
-    abort_iter = None
-    step_norm = 0.0
-    for tau in range(1, cfg.max_iters + 1):
-        if root <= cfg.tol_misfit:
-            termination = "tol"
-            break
-        g = np.asarray(loss_fn.grad(theta), dtype=float)
-        if not np.any(g):
-            rec.record(tau - 1, theta, loss, root, path_len, step_norm,
-                       potential(theta, root))
-            termination = "stationary"
-            break
-        step = cfg.eta * g
-        theta = theta - step
-        step_norm = float(np.linalg.norm(step))
-        path_len += step_norm
+    def measure(theta: Array) -> tuple[float, float]:
         loss = float(loss_fn.value(theta))
-        root = math.sqrt(max(loss, 0.0))
-        terminal = not math.isfinite(loss) or root <= cfg.tol_misfit or tau == cfg.max_iters
-        if tau % cfg.record_every == 0 or terminal:
-            rec.record(tau, theta, loss, root, path_len, step_norm, potential(theta, root))
-        if not math.isfinite(loss):
-            termination = "non_finite"
-            abort_iter = tau
-            break
-        if root <= cfg.tol_misfit:
-            termination = "tol"
-            break
-    return rec.finish(theta, termination, abort_iter)
+        return loss, math.sqrt(max(loss, 0.0))
+
+    return _descend(
+        start, cfg, measure,
+        direction=lambda tau, theta: np.asarray(loss_fn.grad(theta), dtype=float),
+        potential=lambda theta, root, path_len: (
+            math.sqrt(mu / 8.0) * float(np.linalg.norm(theta - start)) + root
+        ),
+    )
 
 
 @dataclass(frozen=True)

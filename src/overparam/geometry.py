@@ -82,6 +82,15 @@ def sample_ball(center: Array, radius: float, samples: int, rng: np.random.Gener
     return center[None, :] + (g / norms) * radii
 
 
+def check_capacity(model: Model) -> None:
+    """Refuse a model whose dense n x p Jacobian exceeds DENSE_SVD_ENTRY_CAP."""
+    if model.n * model.p > DENSE_SVD_ENTRY_CAP:
+        raise CapacityError(
+            f"dense SVD of a {model.n} x {model.p} Jacobian exceeds the "
+            f"{DENSE_SVD_ENTRY_CAP}-entry cap"
+        )
+
+
 def probe_spectrum(
     model: Model,
     center: Array,
@@ -90,7 +99,6 @@ def probe_spectrum(
     seed: int = 0,
     trajectory_points: Array | None = None,
     margin: float = 0.0,
-    entry_cap: int = DENSE_SVD_ENTRY_CAP,
     max_pairs: int = 4096,
 ) -> SpectrumBounds:
     """Probe the Jacobian spectrum at the center, in the ball, and along a path.
@@ -103,11 +111,7 @@ def probe_spectrum(
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if model.n * model.p > entry_cap:
-        raise CapacityError(
-            f"dense SVD of a {model.n} x {model.p} Jacobian exceeds the "
-            f"{entry_cap}-entry cap"
-        )
+    check_capacity(model)
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
     points = [center]

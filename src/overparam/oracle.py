@@ -61,8 +61,8 @@ def fd_gradient(value: Callable[[Array], float], theta: Array, h: float | None =
 
 
 def enumerate_sgd_expectation(
-    model: Model, theta: Array, eta: float, g: Callable[[Array], float]
-) -> float:
+    model: Model, theta: Array, eta: float, g: Callable[[Array], float | Array]
+) -> float | Array:
     """Exact expectation of g over one uniformly-indexed stochastic step.
 
     Returns (1/n) * sum_i g(theta - eta * G(theta; i)) by enumerating every

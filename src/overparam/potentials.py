@@ -16,7 +16,7 @@ import numpy as np
 from .descent import Trajectory
 from .geometry import TheoryPlan
 from .models import Model
-from .oracle import ENUMERATION_CAP, CapacityError
+from .oracle import enumerate_sgd_expectation
 
 Array = np.ndarray
 
@@ -53,16 +53,22 @@ class AnchorSet:
 
 
 def verify_packing(anchors: Array, epsilon: float, center: Array, radius: float) -> None:
-    """Exhaustively re-check pairwise separation and ball membership."""
+    """Exhaustively re-check pairwise separation and ball membership.
+
+    Row i is compared with all later rows at once, so memory stays O(K * p).
+    """
     K = anchors.shape[0]
     for i in range(K):
         d_center = float(np.linalg.norm(anchors[i] - center))
         if d_center > radius * (1.0 + 1e-12):
             raise ValueError(f"anchor {i} lies outside the ball ({d_center} > {radius})")
-        for j in range(i + 1, K):
-            gap = float(np.linalg.norm(anchors[i] - anchors[j]))
-            if gap < epsilon * (1.0 - 1e-12):
-                raise ValueError(f"anchors {i},{j} are {gap} apart, below epsilon={epsilon}")
+        gaps = np.linalg.norm(anchors[i] - anchors[i + 1:], axis=1)
+        close = np.flatnonzero(gaps < epsilon * (1.0 - 1e-12))
+        if close.size:
+            j = int(close[0])
+            raise ValueError(
+                f"anchors {i},{i + 1 + j} are {float(gaps[j])} apart, below epsilon={epsilon}"
+            )
 
 
 def default_anchor_count(n: int, beta: float, alpha: float) -> int:
@@ -226,21 +232,14 @@ def exact_conditional_drift(
     be <= 0 at any state inside the half working ball when the planned step
     size is in use.
     """
-    if model.n > ENUMERATION_CAP:
-        raise CapacityError(f"n={model.n} exceeds enumeration cap {ENUMERATION_CAP}")
     theta = np.asarray(theta, dtype=float)
-    misfit_now = model.misfit(theta)
-    dist_now = anchor_distance(theta, anchors)
-    exp_misfit = 0.0
-    exp_dist = 0.0
-    for i in range(model.n):
-        successor = theta - eta * model.per_sample_gradient(theta, i)
-        exp_misfit += model.misfit(successor)
-        exp_dist += anchor_distance(successor, anchors)
-    exp_misfit /= model.n
-    exp_dist /= model.n
-    d_misfit = exp_misfit - misfit_now
-    d_dist = exp_dist - dist_now
+    # one enumeration, so one per-sample gradient per index, yields both means
+    exp_misfit, exp_dist = enumerate_sgd_expectation(
+        model, theta, eta,
+        lambda succ: np.array([model.misfit(succ), anchor_distance(succ, anchors)]),
+    )
+    d_misfit = float(exp_misfit) - model.misfit(theta)
+    d_dist = float(exp_dist) - anchor_distance(theta, anchors)
     return DriftResult(
         drift_misfit=d_misfit,
         drift_dist=d_dist,
@@ -267,11 +266,9 @@ class NeighborhoodReport:
         )
 
 
-def in_working_ball(
-    dist: float, misfit: float, nu: float, misfit0: float, alpha: float
-) -> bool:
-    """Membership in B(nu): distance and misfit conditions both hold."""
-    return dist <= nu * misfit0 / alpha and misfit <= (2.0 * nu / 3.0) * misfit0
+def in_working_ball(dist, misfit, nu: float, misfit0: float, alpha: float):
+    """Membership in B(nu), elementwise: distance and misfit conditions both hold."""
+    return (dist <= nu * misfit0 / alpha) & (misfit <= (2.0 * nu / 3.0) * misfit0)
 
 
 def neighborhood_monitor(
@@ -286,14 +283,9 @@ def neighborhood_monitor(
         raise ValueError("neighborhood monitoring needs a stride-1 trajectory")
     if plan.nu is None:
         raise ValueError("the plan carries no nu (was it a full-batch plan?)")
-    nu = plan.nu
-    first_half: int | None = None
-    first_full: int | None = None
-    for idx in range(len(traj.iters)):
-        dist = float(traj.dist_init[idx])
-        mis = float(traj.misfit[idx])
-        if first_half is None and not in_working_ball(dist, mis, nu / 2.0, traj.misfit0, alpha):
-            first_half = int(traj.iters[idx])
-        if first_full is None and not in_working_ball(dist, mis, nu, traj.misfit0, alpha):
-            first_full = int(traj.iters[idx])
-    return NeighborhoodReport(nu=nu, first_exit_half=first_half, first_exit_full=first_full)
+    def first_exit(nu: float) -> int | None:
+        outside = ~in_working_ball(traj.dist_init, traj.misfit, nu, traj.misfit0, alpha)
+        return int(traj.iters[np.argmax(outside)]) if outside.any() else None
+
+    return NeighborhoodReport(nu=plan.nu, first_exit_half=first_exit(plan.nu / 2.0),
+                              first_exit_full=first_exit(plan.nu))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from overparam.cli import (
     EXIT_CAPACITY,
@@ -12,6 +13,7 @@ from overparam.cli import (
 from overparam.config import parse_config_text
 from overparam.descent import Trajectory
 from overparam.geometry import probe_spectrum
+from overparam.models import LinearModel
 
 IDENTITY_LINEAR = """\
 model.family = linear
@@ -107,6 +109,21 @@ def test_capacity_error_exit_code(tmp_path):
         "optimizer.kind = gd\noptimizer.eta = 0.001\noptimizer.iters = 1\n",
     )
     assert main(["run", "--config", cfg, "--quiet",
+                 "--out", str(tmp_path / "cap")]) == EXIT_CAPACITY
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
+def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
+    def no_dense_jacobian(self, theta):
+        raise AssertionError("dense Jacobian formed before the capacity check")
+
+    monkeypatch.setattr(LinearModel, "jacobian", no_dense_jacobian)
+    cfg = write(
+        tmp_path, "big.cfg",
+        "model.family = linear\nmodel.n = 3000\nmodel.p = 2000\n"
+        "optimizer.kind = sgd\noptimizer.eta = 0.001\noptimizer.iters = 1\n",
+    )
+    assert main([command, "--config", cfg, "--quiet",
                  "--out", str(tmp_path / "cap")]) == EXIT_CAPACITY
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_gd_non_finite_abort():
     assert traj.termination == "non_finite"
     assert traj.abort_iter is not None
     assert np.all(np.isfinite(traj.misfit[:-1]))
+
+
+def test_divergent_runs_end_non_finite_without_warnings():
+    m = LinearModel(np.eye(1) * 10.0, np.zeros(1))
+    loss_fn = GeneralLoss(value=m.loss, grad=m.gradient)
+    cfg = OptimConfig(eta=1e6, max_iters=2000, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trajs = [run_gd(m, np.ones(1), cfg), run_sgd(m, np.ones(1), cfg),
+                 run_pl_gd(loss_fn, np.ones(1), cfg, mu=1.0)]
+    for traj in trajs:
+        assert traj.termination == "non_finite"
+        assert traj.abort_iter is not None
 
 
 def test_trajectory_path_geometry_invariants():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from overparam.descent import OptimConfig, run_sgd
-from overparam.geometry import probe_spectrum, sgd_plan
+from overparam.bounds import sgd_run_survives
+from overparam.descent import OptimConfig, Trajectory, run_sgd
+from overparam.geometry import TheoryPlan, probe_spectrum, sgd_plan
 from overparam.models import GLMModel, LinearModel, tanh_linear
 from overparam.potentials import (
     AnchorSet,
@@ -60,6 +62,10 @@ def test_anchor_set_revalidates_on_construction():
     outside = np.array([[0.0, 0.0], [10.0, 0.0]])
     with pytest.raises(ValueError):
         AnchorSet(anchors=outside, epsilon=1.0, radius_Rp=5.0, center=np.zeros(2), K=2)
+    # the first offending pair in row-major order is named
+    crowded = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [2.1, 0.0]])
+    with pytest.raises(ValueError, match="anchors 1,3 are"):
+        AnchorSet(anchors=crowded, epsilon=1.0, radius_Rp=5.0, center=np.zeros(2), K=4)
 
 
 def test_default_anchor_count():
@@ -250,8 +256,6 @@ def test_exit_fraction_bounded_on_glm_runs():
     # 500 planned-step runs on a small nonlinear instance: the fraction that
     # ever leaves the half working ball must stay under the planned failure
     # probability plus three Monte-Carlo standard errors
-    from overparam.bounds import sgd_run_survives
-
     rng = np.random.default_rng(21)
     m = GLMModel(rng.standard_normal((4, 12)), rng.standard_normal(4), tanh_linear(0.3))
     theta0 = rng.standard_normal(12) * 0.1
@@ -271,3 +275,47 @@ def test_start_state_always_satisfies_misfit_condition():
     # nu >= 3 makes the misfit membership factor at least 2 at the start
     for nu in (3.0, 4.0, 8.0):
         assert in_working_ball(dist=0.0, misfit=1.0, nu=nu / 2, misfit0=1.0, alpha=1.0)
+
+
+def _scan_exits(dist, misfit, nu, misfit0, alpha):
+    """Row-by-row reference: the first row outside B(nu/2) and B(nu)."""
+    exits = []
+    for radius in (nu / 2.0, nu):
+        first = None
+        for idx in range(len(dist)):
+            d, m = float(dist[idx]), float(misfit[idx])
+            if not (d <= radius * misfit0 / alpha and m <= (2.0 * radius / 3.0) * misfit0):
+                first = idx
+                break
+        exits.append(first)
+    return exits
+
+
+# divergent runs record inf and nan, which must count as outside the ball
+_COLUMN_VALUE = st.floats(0.0, 20.0) | st.sampled_from([math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_COLUMN_VALUE, _COLUMN_VALUE), min_size=1, max_size=30),
+    nu=st.floats(3.0, 12.0),
+    misfit0=st.floats(0.1, 5.0),
+    alpha=st.floats(0.1, 5.0),
+)
+def test_vectorized_ball_verdicts_match_row_scan(rows, nu, misfit0, alpha):
+    dist = np.array([r[0] for r in rows])
+    misfit = np.array([r[1] for r in rows])
+    n_rows = len(rows)
+    zeros = np.zeros(n_rows)
+    traj = Trajectory(
+        iters=np.arange(n_rows) * 3, loss=0.5 * misfit**2, misfit=misfit, dist_init=dist,
+        path_len=zeros, step_norm=zeros, gd_potential=zeros, sgd_potential=zeros,
+        norm_misfit=misfit, norm_dist=dist, theta_final=np.zeros(1), termination="max_iters",
+        eta=0.1, misfit0=misfit0, theta0_norm=1.0, record_every=1,
+    )
+    half, full = _scan_exits(dist, misfit, nu, misfit0, alpha)
+    plan = TheoryPlan(radius_R=1.0, eta=0.1, rate=0.5, regime="bounded", lam=0.5, nu=nu)
+    report = neighborhood_monitor(traj, plan, np.zeros(1), alpha)
+    assert report.first_exit_half == (None if half is None else 3 * half)
+    assert report.first_exit_full == (None if full is None else 3 * full)
+    assert sgd_run_survives(traj, nu, alpha) == (half is None)
