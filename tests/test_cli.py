@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,19 @@ def test_run_byte_identical_outputs(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out2), "--quiet"]) == EXIT_OK
     for name in ("trajectory.csv", "bounds.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_divergent_glm_run_checks_without_warnings(tmp_path):
+    # the iterates overflow, so the GLM distance checks see inf and nan rows
+    cfg = write(tmp_path, "div.cfg", GLM_RUN.replace("data_seed = 3", "data_seed = 0")
+                .replace("eta = auto", "eta = 50"))
+    out = tmp_path / "div_out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_VIOLATION
+    text = (out / "bounds.csv").read_text()
+    assert "distance_to_optimum_envelope,glm,inf,fail" in text
 
 
 def test_config_error_exit_code(tmp_path):

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overparam.geometry import (
     CertificationError,
     SpectrumBounds,
     gd_plan,
     probe_spectrum,
+    sample_ball,
     sgd_plan,
+    spectral_norm,
     verify_assumptions,
 )
 from overparam.models import GLMModel, LinearModel, ShallowNetModel, tanh_linear
 from overparam.oracle import CapacityError
+
+from conftest import model_zoo
 
 
 def make_bounds(alpha, beta, B=None, L=0.0, n=2, p=2):
@@ -19,6 +24,49 @@ def make_bounds(alpha, beta, B=None, L=0.0, n=2, p=2):
         lipschitz_L=L, probe_count=1, radius=1.0, center=np.zeros(p),
         n_rows=n, p_cols=p,
     )
+
+
+def dense_deviations(model, points, pairs):
+    """Reference: ||J(a) - J(b)|| by a full dense SVD for every pair."""
+    jacobians = [model.jacobian(pt) for pt in points]
+    return [float(np.linalg.norm(jacobians[i] - jacobians[j], 2)) for i, j in pairs]
+
+
+# ---------------------------------------------------------------------------
+# spectral_norm
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    short=st.integers(1, 12),
+    extra=st.integers(0, 40),
+    shape=st.sampled_from(["wide", "tall", "square"]),
+    kind=st.sampled_from(["gaussian", "ill_conditioned", "rank1", "zero"]),
+    log_scale=st.integers(-30, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_matches_dense_svd(short, extra, shape, kind, log_scale, seed):
+    rows, cols = {"wide": (short, short + extra), "tall": (short + extra, short),
+                  "square": (short, short)}[shape]
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        A = rng.standard_normal((rows, cols))
+    elif kind == "ill_conditioned":
+        k = min(rows, cols)
+        U, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+        V, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+        A = (U * np.logspace(0, -15, k)) @ V.T
+    elif kind == "rank1":
+        A = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    else:
+        A = np.zeros((rows, cols))
+    A *= 10.0**log_scale
+    want = float(np.linalg.norm(A, 2))
+    got = spectral_norm(A)
+    if kind == "zero":
+        assert got == 0.0 and want == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +104,24 @@ def test_probe_includes_trajectory_points():
     b = probe_spectrum(m, np.zeros(1), radius=0.01, samples=4, seed=1,
                        trajectory_points=far)
     assert b.alpha <= 1.001
+
+
+@pytest.mark.parametrize("max_pairs", [4096, 5], ids=["all_pairs", "chain"])
+def test_probe_lipschitz_matches_dense_pair_loop(family, max_pairs):
+    model, theta = model_zoo(11)[family]
+    samples, radius, seed = 12, 1.5, 4
+    b = probe_spectrum(model, theta, radius, samples=samples, seed=seed,
+                       max_pairs=max_pairs)
+    points = [theta, *sample_ball(theta, radius, samples, np.random.default_rng(seed))]
+    m = len(points)
+    if max_pairs == 4096:
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    else:  # center to every point, then consecutive points
+        pairs = [(0, j) for j in range(1, m)] + [(j, j + 1) for j in range(1, m - 1)]
+    devs = dense_deviations(model, points, pairs)
+    want = max(dev / float(np.linalg.norm(points[i] - points[j]))
+               for dev, (i, j) in zip(devs, pairs))
+    assert b.lipschitz_L == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_probe_capacity_error():
@@ -203,3 +269,26 @@ def test_verify_reports_violation_on_large_ball():
     a, c = rep.worst_pair
     dev = np.linalg.norm(m.jacobian(a) - m.jacobian(c), 2)
     assert dev == pytest.approx(rep.max_deviation)
+
+
+def test_verify_deviations_match_dense_pair_loop(family):
+    model, theta = model_zoo(12)[family]
+    b = probe_spectrum(model, theta, 2.0, samples=8, seed=0)
+    samples, seed = 10, 3
+    rep = verify_assumptions(model, b, samples=samples, seed=seed)
+    points = [theta, *sample_ball(theta, b.radius, samples, np.random.default_rng(seed))]
+    m = len(points)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    devs = dense_deviations(model, points, pairs)
+    max_dev, worst, max_ratio = 0.0, None, 0.0
+    for dev, (i, j) in zip(devs, pairs):
+        if dev > max_dev:
+            max_dev, worst = dev, (points[i], points[j])
+        max_ratio = max(max_ratio, dev / float(np.linalg.norm(points[i] - points[j])))
+    assert rep.max_deviation == pytest.approx(max_dev, rel=1e-12, abs=0.0)
+    assert rep.lipschitz_estimate == pytest.approx(
+        max(b.lipschitz_L, max_ratio), rel=1e-12, abs=0.0)
+    if worst is None:
+        assert rep.worst_pair is None
+    else:
+        assert all(np.array_equal(a, c) for a, c in zip(rep.worst_pair, worst))
