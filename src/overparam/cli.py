@@ -2,7 +2,8 @@
 
 Exit code contract: 0 all enabled checks pass, 1 a bound check failed or the
 geometry could not be certified, 2 configuration error, 3 capacity or IO
-error. Output files land in --out, else $OVERPARAM_OUT_DIR, else the cwd.
+error, 4 internal error (any other exception, reported with its traceback
+on stderr). Output files land in --out, else $OVERPARAM_OUT_DIR, else the cwd.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +73,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 _PROBE_SEED_OFFSET = 1009
 _PACKING_SEED_OFFSET = 7717
@@ -640,6 +643,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_CAPACITY
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {exc}\n{traceback.format_exc()}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -116,6 +116,16 @@ def _as_param(theta: Array, p: int) -> Array:
     return theta
 
 
+def _as_params(thetas: Array, p: int) -> Array:
+    """Stack-of-parameters counterpart of _as_param: shape (m, p), all finite."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != p:
+        raise ValueError(f"parameter stack has shape {thetas.shape}, expected (m, {p})")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("parameter vector contains non-finite entries")
+    return thetas
+
+
 class Model:
     """Residual map f: R^p -> R^n with labels y and exact Jacobian.
 
@@ -137,6 +147,14 @@ class Model:
     def residual(self, theta: Array) -> Array:
         """f(theta) - y, componentwise."""
         return self.predictions(_as_param(theta, self.p)) - self.y
+
+    def residuals(self, thetas: Array) -> Array:
+        """Residuals of a stack of parameters: (m, p) -> (m, n), row by row.
+
+        Families with a closed form override this with one batched product.
+        """
+        thetas = _as_params(thetas, self.p)
+        return np.array([self.residual(theta) for theta in thetas]).reshape(len(thetas), self.n)
 
     def misfit(self, theta: Array) -> float:
         """Euclidean norm of the residual."""
@@ -199,6 +217,9 @@ class LinearModel(Model):
     def predictions(self, theta: Array) -> Array:
         return self.X @ _as_param(theta, self.p)
 
+    def residuals(self, thetas: Array) -> Array:
+        return _as_params(thetas, self.p) @ self.X.T - self.y
+
     def jacobian(self, theta: Array) -> Array:
         _as_param(theta, self.p)
         return self.X.copy()
@@ -227,6 +248,9 @@ class GLMModel(Model):
 
     def predictions(self, theta: Array) -> Array:
         return self.act.phi(self.X @ _as_param(theta, self.p))
+
+    def residuals(self, thetas: Array) -> Array:
+        return self.act.phi(_as_params(thetas, self.p) @ self.X.T) - self.y
 
     def jacobian(self, theta: Array) -> Array:
         z = self.X @ _as_param(theta, self.p)

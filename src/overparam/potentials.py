@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .descent import Trajectory
 from .geometry import TheoryPlan
 from .models import Model
-from .oracle import enumerate_sgd_expectation
+from .oracle import ENUMERATION_CAP, CapacityError
 
 Array = np.ndarray
 
@@ -231,15 +232,41 @@ def exact_conditional_drift(
     12 * (misfit drift) + alpha * (distance drift). The potential drift must
     be <= 0 at any state inside the half working ball when the planned step
     size is in use.
+
+    All n successors theta - eta * G_i come from one Jacobian, since the
+    per-sample gradient is G_i = r_i * J_i. Their residuals take one
+    `model.residuals` call, and their squared anchor distances come from the
+    expansion ||theta - a||^2 - 2 eta G_i . (theta - a) + eta^2 ||G_i||^2, one
+    product of O(n * K) memory. Each such distance has a relative error of
+    about p * eps * ((||theta - a|| + eta ||G_i||) / ||theta+ - a||)^2, where
+    theta+ = theta - eta G_i: it is large only when one step lands far closer
+    to an anchor than theta was. Drifts are averaged per successor against
+    base values taken from the same residual and squared distances, so a
+    successor equal to theta adds exactly 0 to the distance drift.
+    Successor rows are walked in blocks of at most DENSE_SVD_ENTRY_CAP
+    entries per array. `oracle.enumerate_sgd_expectation` is the
+    one-successor-at-a-time reference.
     """
+    if model.n > ENUMERATION_CAP:
+        raise CapacityError(f"n={model.n} exceeds enumeration cap {ENUMERATION_CAP}")
     theta = np.asarray(theta, dtype=float)
-    # one enumeration, so one per-sample gradient per index, yields both means
-    exp_misfit, exp_dist = enumerate_sgd_expectation(
-        model, theta, eta,
-        lambda succ: np.array([model.misfit(succ), anchor_distance(succ, anchors)]),
-    )
-    d_misfit = float(exp_misfit) - model.misfit(theta)
-    d_dist = float(exp_dist) - anchor_distance(theta, anchors)
+    r = model.residual(theta)
+    grads = r[:, None] * model.jacobian(theta)  # row i is per_sample_gradient(theta, i)
+    offsets = theta[None, :] - anchors.anchors  # (K, p)
+    base_sq = np.einsum("kp,kp->k", offsets, offsets)
+    base_dist = np.sqrt(base_sq)
+    base_misfit = np.linalg.norm(r)
+    rows = max(1, geometry.DENSE_SVD_ENTRY_CAP // max(model.n, model.p, anchors.K))
+    sum_misfit = sum_dist = 0.0
+    for start in range(0, model.n, rows):
+        block = grads[start:start + rows]
+        misfits = np.linalg.norm(model.residuals(theta[None, :] - eta * block), axis=1)
+        step_sq = eta * eta * np.einsum("ip,ip->i", block, block)
+        dist_sq = base_sq - 2.0 * eta * (block @ offsets.T) + step_sq[:, None]
+        sum_misfit += float(np.sum(misfits - base_misfit))
+        sum_dist += float(np.sum(np.sqrt(np.maximum(dist_sq, 0.0)) - base_dist))
+    d_misfit = sum_misfit / model.n
+    d_dist = sum_dist / (model.n * anchors.K)
     return DriftResult(
         drift_misfit=d_misfit,
         drift_dist=d_dist,

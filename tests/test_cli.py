@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from overparam import cli
 from overparam.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VIOLATION,
     build_model,
@@ -140,6 +142,18 @@ def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
     )
     assert main([command, "--config", cfg, "--quiet",
                  "--out", str(tmp_path / "cap")]) == EXIT_CAPACITY
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("deliberate fault")
+
+    monkeypatch.setattr(cli, "cmd_run", broken)
+    cfg = write(tmp_path, "id.cfg", IDENTITY_LINEAR)
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: deliberate fault\n")
+    assert "Traceback" in err and "RuntimeError" in err
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):

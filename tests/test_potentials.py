@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overparam import geometry
 from overparam.bounds import sgd_run_survives
 from overparam.descent import OptimConfig, Trajectory, run_sgd
 from overparam.geometry import TheoryPlan, probe_spectrum, sgd_plan
 from overparam.models import GLMModel, LinearModel, tanh_linear
+from overparam.oracle import ENUMERATION_CAP, CapacityError, enumerate_sgd_expectation
 from overparam.potentials import (
+    MISFIT_WEIGHT,
     AnchorSet,
     PackingInfeasibleError,
+    anchor_distance,
     build_packing,
     default_anchor_count,
     exact_conditional_drift,
@@ -19,6 +23,8 @@ from overparam.potentials import (
     neighborhood_monitor,
     sgd_potential,
 )
+
+from conftest import model_zoo
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +214,70 @@ def test_drift_negative_on_identity_instance():
     jtr = m.jacobian(theta0).T @ r
     bound = -eta / (4 * m.n) * float(jtr @ jtr) / np.linalg.norm(r)
     assert drift.drift_misfit <= bound + 1e-12
+
+
+def _enumerated_drift(model, theta, eta, pack, alpha):
+    """Brute-force drifts, one successor at a time through the oracle."""
+    exp_misfit, exp_dist = enumerate_sgd_expectation(
+        model, theta, eta,
+        lambda succ: np.array([model.misfit(succ), anchor_distance(succ, pack)]),
+    )
+    d_misfit = exp_misfit - model.misfit(theta)
+    d_dist = exp_dist - anchor_distance(theta, pack)
+    return np.array([d_misfit, d_dist, MISFIT_WEIGHT * d_misfit + alpha * d_dist])
+
+
+def _drift_state(model, theta, pack, state):
+    """A state and step size: random, the center anchor, or one short step from an anchor."""
+    if state == "random":
+        return theta + 0.3 * np.random.default_rng(1).standard_normal(model.p), 0.05
+    if state == "center":
+        return pack.center, 0.05
+    # theta sits one short per-sample step from anchor 1, so the step from
+    # theta lands close to that anchor: the expansion's worst case
+    g = model.per_sample_gradient(pack.anchors[1], 0)
+    eta = 1e-3 / np.linalg.norm(g)
+    return pack.anchors[1] + eta * g, eta
+
+
+@pytest.mark.parametrize("state", ["random", "center", "short_step"])
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_drift_matches_enumeration(family, seed, state):
+    model, theta = model_zoo(seed)[family]
+    pack = build_packing(theta, 1.0, 0.3, K=4, seed=seed)
+    theta, eta = _drift_state(model, theta, pack, state)
+    drift = exact_conditional_drift(model, theta, eta, pack, alpha=0.7)
+    got = np.array([drift.drift_misfit, drift.drift_dist, drift.drift_potential])
+    want = _enumerated_drift(model, theta, eta, pack, alpha=0.7)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def test_drift_enumeration_cap_refused_before_any_jacobian(monkeypatch):
+    n = ENUMERATION_CAP + 1
+    m = LinearModel(np.zeros((n, 1)), np.zeros(n))
+    calls = []
+    monkeypatch.setattr(LinearModel, "jacobian", lambda self, theta: calls.append(theta))
+    pack = build_packing(np.zeros(1), 1.0, 0.5, K=1, seed=0)
+    with pytest.raises(CapacityError, match="enumeration cap"):
+        exact_conditional_drift(m, np.zeros(1), eta=0.1, anchors=pack, alpha=1.0)
+    assert calls == []
+
+
+def test_drift_one_row_blocks_match_single_block(family, monkeypatch):
+    model, theta = model_zoo(4)[family]
+    pack = build_packing(theta, 1.0, 0.3, K=4, seed=4)
+    state = theta + 0.3 * np.random.default_rng(4).standard_normal(model.p)
+    whole = exact_conditional_drift(model, state, 0.05, pack, alpha=0.7)
+    block_rows = []
+    residuals = type(model).residuals
+    monkeypatch.setattr(type(model), "residuals",
+                        lambda self, thetas: block_rows.append(len(thetas))
+                        or residuals(self, thetas))
+    monkeypatch.setattr(geometry, "DENSE_SVD_ENTRY_CAP", 1)
+    blocked = exact_conditional_drift(model, state, 0.05, pack, alpha=0.7)
+    assert block_rows == [1] * model.n
+    for field in ("drift_misfit", "drift_dist", "drift_potential"):
+        assert getattr(blocked, field) == pytest.approx(getattr(whole, field), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
