@@ -3,9 +3,12 @@
 One loop, theta <- theta - eta * g(theta), serves three entry points that
 differ only in g and in what they monitor: full-batch gradient descent,
 single-sample stochastic gradient descent, and gradient descent on a general
-loss under a local gradient-dominance condition. A single run is strictly
-sequential; independent runs may execute concurrently and finished
-trajectories are immutable.
+loss under a local gradient-dominance condition. Each step of the two
+least-squares runs evaluates the model's forward pass once: the residual
+measured for the misfit column is the one the next step pulls back through
+the Jacobian (``Model.pullback``). A single run is strictly sequential;
+independent runs may execute concurrently and finished trajectories are
+immutable.
 """
 
 from __future__ import annotations
@@ -254,22 +257,24 @@ class _Recorder:
 def _descend(
     theta0: Array,
     cfg: OptimConfig,
-    measure: Callable[[Array], tuple[float, float]],
-    direction: Callable[[int, Array], Array],
+    measure: Callable[[Array], tuple[float, float, Array | None]],
+    direction: Callable[[int, Array, Array | None], Array],
     potential: Callable[[Array, float, float], float],
     anchored: Callable[[Array, float], float] | None = None,
     stationary_exit: bool = True,
 ) -> Trajectory:
-    """The loop of every run: theta <- theta - eta * direction(tau, theta).
+    """The loop of every run: theta <- theta - eta * direction(tau, theta, r).
 
-    measure(theta) returns (loss, misfit); potential(theta, misfit, path_len)
+    measure(theta) returns (loss, misfit, r), where r is the residual at theta
+    (None for a general loss) and is handed to the direction of the next step,
+    so theta is evaluated once per step. potential(theta, misfit, path_len)
     fills the gd_potential column and anchored(theta, misfit) the
     sgd_potential column. Overflow raises no warning: a non-finite loss ends
     the run as "non_finite" with abort_iter set.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         theta = np.asarray(theta0, dtype=float).copy()
-        loss, misfit = measure(theta)
+        loss, misfit, r = measure(theta)
         rec = _Recorder(theta, misfit, cfg)
         path_len = step_norm = 0.0
 
@@ -285,7 +290,7 @@ def _descend(
             if misfit <= cfg.tol_misfit:
                 termination = "tol"
                 break
-            g = direction(tau, theta)
+            g = direction(tau, theta, r)
             if stationary_exit and not np.any(g):
                 record(tau - 1)
                 termination = "stationary"
@@ -294,7 +299,7 @@ def _descend(
             theta = theta - step
             step_norm = float(np.linalg.norm(step))
             path_len += step_norm
-            loss, misfit = measure(theta)
+            loss, misfit, r = measure(theta)
             terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
             if tau % cfg.record_every == 0 or terminal:
                 record(tau)
@@ -308,21 +313,25 @@ def _descend(
         return rec.finish(theta, termination, abort_iter)
 
 
-def _least_squares(model: Model, theta: Array) -> tuple[float, float]:
-    misfit = model.misfit(theta)
-    return 0.5 * misfit**2, misfit
+def _measure_residual(model: Model, theta: Array) -> tuple[float, float, Array]:
+    """(0.5 * misfit^2, misfit, residual) at theta, for the least-squares runs."""
+    r = model.residual(theta)
+    misfit = float(np.linalg.norm(r))
+    return 0.5 * misfit**2, misfit, r
 
 
 def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     """Full-batch descent theta <- theta - eta * J^T r, deterministically.
 
-    Stops at the misfit tolerance, at max_iters, at an exactly-zero gradient
-    ("stationary"), or when the loss turns non-finite ("non_finite", with the
-    offending iteration recorded as abort_iter).
+    r is the residual already measured at theta, pulled back through the
+    Jacobian with ``model.pullback``. Stops at the misfit tolerance, at
+    max_iters, at an exactly-zero gradient ("stationary"), or when the loss
+    turns non-finite ("non_finite", with the offending iteration recorded as
+    abort_iter).
     """
     return _descend(
-        theta0, cfg, lambda theta: _least_squares(model, theta),
-        direction=lambda tau, theta: model.gradient(theta),
+        theta0, cfg, lambda theta: _measure_residual(model, theta),
+        direction=lambda tau, theta, r: model.pullback(theta, r),
         potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
     )
 
@@ -358,11 +367,16 @@ def run_sgd(
         dists = np.linalg.norm(anchors.anchors - theta[None, :], axis=1)
         return 12.0 * misfit + (alpha / anchors.K) * float(dists.sum())
 
+    def sample_gradient(tau: int, theta: Array, r: Array) -> Array:
+        # per_sample_gradient(theta, i), with the residual already measured
+        i = int(indices[tau - 1])
+        return float(r[i]) * model.jacobian_row(theta, i)
+
     # One sample's gradient can vanish at a point that is not stationary for
     # the full loss, so a zero step does not end the run.
     return _descend(
-        theta0, cfg, lambda theta: _least_squares(model, theta),
-        direction=lambda tau, theta: model.per_sample_gradient(theta, int(indices[tau - 1])),
+        theta0, cfg, lambda theta: _measure_residual(model, theta),
+        direction=sample_gradient,
         potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
         anchored=None if anchors is None else anchored_potential,
         stationary_exit=False,
@@ -397,13 +411,13 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
         )
     start = np.array(theta0, dtype=float)
 
-    def measure(theta: Array) -> tuple[float, float]:
+    def measure(theta: Array) -> tuple[float, float, None]:
         loss = float(loss_fn.value(theta))
-        return loss, math.sqrt(max(loss, 0.0))
+        return loss, math.sqrt(max(loss, 0.0)), None
 
     return _descend(
         start, cfg, measure,
-        direction=lambda tau, theta: np.asarray(loss_fn.grad(theta), dtype=float),
+        direction=lambda tau, theta, _: np.asarray(loss_fn.grad(theta), dtype=float),
         potential=lambda theta, root, path_len: (
             math.sqrt(mu / 8.0) * float(np.linalg.norm(theta - start)) + root
         ),

@@ -8,6 +8,7 @@ column-major (columns concatenated), hidden-layer weight matrices row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -130,8 +131,10 @@ class Model:
     """Residual map f: R^p -> R^n with labels y and exact Jacobian.
 
     Subclasses implement ``predictions`` and ``jacobian``; everything else
-    derives from those. Models are immutable after construction and safe to
-    share across workers; all evaluations are pure functions of (model, theta).
+    derives from those. Families with a closed form override ``pullback``,
+    through which ``gradient`` and the descent loop reach J^T r. Models are
+    immutable after construction and safe to share across workers; all
+    evaluations are pure functions of (model, theta).
     """
 
     n: int
@@ -165,10 +168,13 @@ class Model:
         r = self.residual(theta)
         return 0.5 * float(r @ r)
 
+    def pullback(self, theta: Array, r: Array) -> Array:
+        """J(theta)^T r for a vector r of length n."""
+        return self.jacobian(theta).T @ r
+
     def gradient(self, theta: Array) -> Array:
         """J(theta)^T (f(theta) - y)."""
-        theta = _as_param(theta, self.p)
-        return self.jacobian(theta).T @ self.residual(theta)
+        return self.pullback(theta, self.residual(theta))
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
         """Row i of the Jacobian; subclasses override with a cheap path."""
@@ -227,6 +233,10 @@ class LinearModel(Model):
     def jacobian_row(self, theta: Array, i: int) -> Array:
         return self.X[i].copy()
 
+    def pullback(self, theta: Array, r: Array) -> Array:
+        _as_param(theta, self.p)
+        return self.X.T @ r
+
     def average_jacobian(self, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:
         _as_param(theta_a, self.p)
         _as_param(theta_b, self.p)
@@ -259,6 +269,10 @@ class GLMModel(Model):
     def jacobian_row(self, theta: Array, i: int) -> Array:
         z_i = float(self.X[i] @ theta)
         return float(self.act.dphi(np.asarray(z_i))) * self.X[i]
+
+    def pullback(self, theta: Array, r: Array) -> Array:
+        z = self.X @ _as_param(theta, self.p)
+        return self.X.T @ (self.act.dphi(z) * r)
 
     def average_jacobian(self, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:
         """Secant-slope diagonal times X; exact for any pair of points.
@@ -295,12 +309,16 @@ class LowRankModel(Model):
         if Xs.shape != (y.shape[0], d, d):
             raise ValueError("Xs must be n x d x d with y of length n")
         self.Xs = Xs
-        self.Xs_sym = Xs + np.transpose(Xs, (0, 2, 1))
         self.y = y
         self.d = d
         self.r = r
         self.n = y.shape[0]
         self.p = d * r
+
+    @cached_property
+    def Xs_sym(self) -> Array:
+        """X_i + X_i^T for every i, built on first use (only Jacobians read it)."""
+        return self.Xs + np.transpose(self.Xs, (0, 2, 1))
 
     def factor(self, theta: Array) -> Array:
         """Reshape the flat parameter into the d x r factor (column-major)."""
@@ -322,9 +340,8 @@ class LowRankModel(Model):
         Theta = self.factor(theta)
         return self.flatten_factor(self.Xs_sym[i] @ Theta)
 
-    def gradient(self, theta: Array) -> Array:
+    def pullback(self, theta: Array, r: Array) -> Array:
         Theta = self.factor(theta)
-        r = self.residual(theta)
         M = np.einsum("i,iab->ab", r, self.Xs)
         return self.flatten_factor((M + M.T) @ Theta)
 
@@ -382,9 +399,8 @@ class ShallowNetModel(Model):
         d = self.act.dphi(z) * self.v
         return (d[:, None] * self.X[i][None, :]).reshape(-1)
 
-    def gradient(self, theta: Array) -> Array:
+    def pullback(self, theta: Array, r: Array) -> Array:
         W = self.weights(theta)
         Z = self.X @ W.T
-        r = self.residual(theta)
         D = self.act.dphi(Z) * self.v[None, :]
         return self.flatten_weights((D * r[:, None]).T @ self.X)

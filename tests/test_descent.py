@@ -16,6 +16,7 @@ from overparam.descent import (
     run_gd,
     run_pl_gd,
     run_sgd,
+    sgd_index_stream,
 )
 from overparam.models import GLMModel, LinearModel, tanh_linear
 from overparam.oracle import enumerate_sgd_expectation, fd_gradient
@@ -138,6 +139,110 @@ def test_residual_recursion_with_closed_form_average_jacobian():
         C = model.average_jacobian(th_next, th) @ model.jacobian(th).T
         predicted = r - eta * C @ r
         assert np.linalg.norm(r_next - predicted) <= 1e-8 * np.linalg.norm(r)
+
+
+# ---------------------------------------------------------------------------
+# One forward pass per step, with the arithmetic of the two-pass loop
+# ---------------------------------------------------------------------------
+
+FAMILIES = ["linear", "glm", "lowrank", "net"]
+COLUMNS = ("iters", "loss", "misfit", "dist_init", "path_len", "step_norm",
+           "gd_potential", "sgd_potential", "norm_misfit", "norm_dist")
+
+
+def _steady_config(model, theta, steps, **extra):
+    eta = 0.25 / np.linalg.norm(model.jacobian(theta), 2) ** 2
+    return OptimConfig(eta=eta, max_iters=steps, **extra)
+
+
+def hand_rolled(model, theta0, cfg, direction):
+    """The two-pass loop: measure the misfit, then direction(tau, theta) from scratch."""
+    theta = theta0.copy()
+    theta0_norm = float(np.linalg.norm(theta0))
+    misfit0 = model.misfit(theta0)
+    path_len = step_norm = 0.0
+    rows = []
+    for tau in range(cfg.max_iters + 1):
+        if tau > 0:
+            step = cfg.eta * direction(tau, theta)
+            theta = theta - step
+            step_norm = float(np.linalg.norm(step))
+            path_len += step_norm
+        misfit = model.misfit(theta)
+        dist = float(np.linalg.norm(theta - theta0))
+        rows.append((tau, 0.5 * misfit**2, misfit, dist, path_len, step_norm,
+                     misfit + cfg.potential_zeta * path_len, np.nan,
+                     misfit / misfit0, dist / theta0_norm))
+    return dict(zip(COLUMNS, np.array(rows).T)), theta
+
+
+def assert_same_run(traj, columns, theta):
+    assert len(traj) == len(columns["iters"])
+    for name in COLUMNS:
+        assert np.array_equal(getattr(traj, name), columns[name], equal_nan=True), name
+    assert np.array_equal(traj.theta_final, theta)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("runner", ["gd", "sgd"])
+def test_each_step_runs_one_forward_pass(name, runner, monkeypatch):
+    model, theta = model_zoo(2)[name]
+    steps = 7
+    cfg = _steady_config(model, theta, steps, seed=5)
+    calls = []
+    forward = type(model).predictions
+
+    def counted(self, th):
+        calls.append(1)
+        return forward(self, th)
+
+    monkeypatch.setattr(type(model), "predictions", counted)
+    traj = (run_gd if runner == "gd" else run_sgd)(model, theta, cfg)
+    assert traj.termination == "max_iters" and int(traj.iters[-1]) == steps
+    assert len(calls) == steps + 1
+
+
+@pytest.mark.parametrize("name", ["lowrank", "net"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gd_matches_two_pass_loop_bitwise(name, seed):
+    model, theta = model_zoo(seed)[name]
+    cfg = _steady_config(model, theta, 30, potential_zeta=0.5)
+    columns, theta_final = hand_rolled(model, theta, cfg,
+                                       lambda tau, th: model.gradient(th))
+    assert_same_run(run_gd(model, theta, cfg), columns, theta_final)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_sgd_matches_two_pass_loop_bitwise(name, seed):
+    model, theta = model_zoo(seed)[name]
+    cfg = _steady_config(model, theta, 40, seed=seed, potential_zeta=0.5)
+    indices = sgd_index_stream(seed, model.n, cfg.max_iters)
+    columns, theta_final = hand_rolled(
+        model, theta, cfg,
+        lambda tau, th: model.per_sample_gradient(th, int(indices[tau - 1])))
+    assert_same_run(run_sgd(model, theta, cfg), columns, theta_final)
+
+
+@pytest.mark.parametrize("name", ["linear", "glm"])
+def test_gd_closed_form_pullback_tracks_two_pass_loop(name):
+    model, theta = model_zoo(4)[name]
+    cfg = _steady_config(model, theta, 30)
+    columns, theta_final = hand_rolled(model, theta, cfg,
+                                       lambda tau, th: model.jacobian(th).T @ model.residual(th))
+    traj = run_gd(model, theta, cfg)
+    assert_allclose(traj.misfit, columns["misfit"], rtol=1e-12)
+    assert_allclose(traj.theta_final, theta_final, rtol=1e-12, atol=1e-12)
+
+
+def test_lowrank_gd_never_builds_symmetrized_features():
+    model, theta = model_zoo(1)["lowrank"]
+    run_gd(model, theta, OptimConfig(eta=1e-3, max_iters=20))
+    assert "Xs_sym" not in vars(model)
+    Theta = model.factor(theta)
+    expected = ((model.Xs + model.Xs.transpose(0, 2, 1)) @ Theta).transpose(0, 2, 1)
+    assert np.array_equal(model.jacobian(theta), expected.reshape(model.n, model.p))
+    assert "Xs_sym" in vars(model)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,18 @@ def test_gradient_equals_jacobian_transpose_residual(family, seed):
     assert_allclose(direct, composed, rtol=1e-12, atol=1e-12 * (1 + np.linalg.norm(composed)))
 
 
+@pytest.mark.parametrize("name", ["linear", "glm", "lowrank", "net"])
+@given(st.integers(0, 4), st.data())
+def test_pullback_equals_jacobian_transpose_product(name, seed, data):
+    model, _ = model_zoo(seed)[name]
+    theta = data.draw(arrays(np.float64, model.p, elements=st.floats(-3, 3)))
+    r = data.draw(arrays(np.float64, model.n, elements=st.floats(-10, 10)))
+    J = model.jacobian(theta)
+    composed = J.T @ r
+    assert np.linalg.norm(model.pullback(theta, r) - composed) <= \
+        1e-12 * np.linalg.norm(J) * np.linalg.norm(r)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_jacobian_matches_finite_differences(family, seed):
     model, theta = model_zoo(seed)[family]
