@@ -6,9 +6,9 @@ single-sample stochastic gradient descent, and gradient descent on a general
 loss under a local gradient-dominance condition. Each step of the two
 least-squares runs evaluates the model's forward pass once: the residual
 measured for the misfit column is the one the next step pulls back through
-the Jacobian (``Model.pullback``). A single run is strictly sequential;
-independent runs may execute concurrently and finished trajectories are
-immutable.
+the Jacobian (``Model.gradient(theta, r)``). A single run is strictly
+sequential; independent runs may execute concurrently and finished
+trajectories are immutable.
 """
 
 from __future__ import annotations
@@ -323,15 +323,15 @@ def _measure_residual(model: Model, theta: Array) -> tuple[float, float, Array]:
 def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     """Full-batch descent theta <- theta - eta * J^T r, deterministically.
 
-    r is the residual already measured at theta, pulled back through the
-    Jacobian with ``model.pullback``. Stops at the misfit tolerance, at
-    max_iters, at an exactly-zero gradient ("stationary"), or when the loss
-    turns non-finite ("non_finite", with the offending iteration recorded as
+    r is the residual already measured at theta, handed to ``model.gradient``
+    so it is not computed again. Stops at the misfit tolerance, at max_iters,
+    at an exactly-zero gradient ("stationary"), or when the loss turns
+    non-finite ("non_finite", with the offending iteration recorded as
     abort_iter).
     """
     return _descend(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
-        direction=lambda tau, theta, r: model.pullback(theta, r),
+        direction=lambda tau, theta, r: model.gradient(theta, r),
         potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
     )
 
@@ -367,16 +367,12 @@ def run_sgd(
         dists = np.linalg.norm(anchors.anchors - theta[None, :], axis=1)
         return 12.0 * misfit + (alpha / anchors.K) * float(dists.sum())
 
-    def sample_gradient(tau: int, theta: Array, r: Array) -> Array:
-        # per_sample_gradient(theta, i), with the residual already measured
-        i = int(indices[tau - 1])
-        return float(r[i]) * model.jacobian_row(theta, i)
-
     # One sample's gradient can vanish at a point that is not stationary for
     # the full loss, so a zero step does not end the run.
     return _descend(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
-        direction=sample_gradient,
+        direction=lambda tau, theta, r: model.per_sample_gradient(
+            theta, int(indices[tau - 1]), r),
         potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
         anchored=None if anchors is None else anchored_potential,
         stationary_exit=False,

@@ -132,9 +132,11 @@ class Model:
 
     Subclasses implement ``predictions`` and ``jacobian``; everything else
     derives from those. Families with a closed form override ``pullback``,
-    through which ``gradient`` and the descent loop reach J^T r. Models are
-    immutable after construction and safe to share across workers; all
-    evaluations are pure functions of (model, theta).
+    through which ``gradient`` reaches J^T r. The only state a model gains
+    after construction is a lazily cached, deterministic array
+    (``LowRankModel.Xs_sym``), which is safe to build twice; otherwise models
+    are immutable and safe to share across workers, and all evaluations are
+    pure functions of (model, theta).
     """
 
     n: int
@@ -172,23 +174,28 @@ class Model:
         """J(theta)^T r for a vector r of length n."""
         return self.jacobian(theta).T @ r
 
-    def gradient(self, theta: Array) -> Array:
-        """J(theta)^T (f(theta) - y)."""
-        return self.pullback(theta, self.residual(theta))
+    def gradient(self, theta: Array, r: Array | None = None) -> Array:
+        """J(theta)^T (f(theta) - y).
+
+        r is the residual at theta when the caller has already measured it,
+        as the descent loop has; it is computed here otherwise.
+        """
+        return self.pullback(theta, self.residual(theta) if r is None else r)
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
         """Row i of the Jacobian; subclasses override with a cheap path."""
         return self.jacobian(theta)[i]
 
-    def per_sample_gradient(self, theta: Array, i: int) -> Array:
+    def per_sample_gradient(self, theta: Array, i: int, r: Array | None = None) -> Array:
         """Gradient contribution of sample i: r_i(theta) * J_i(theta)^T.
 
-        The average over all i equals gradient(theta)/n.
+        The average over all i equals gradient(theta)/n. r is the full
+        residual at theta if already measured, as in ``gradient``.
         """
         if not 0 <= i < self.n:
             raise IndexError(f"sample index {i} out of range [0, {self.n})")
         theta = _as_param(theta, self.p)
-        r_i = float(self.residual(theta)[i])
+        r_i = float((self.residual(theta) if r is None else r)[i])
         return r_i * self.jacobian_row(theta, i)
 
     def average_jacobian(self, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:

@@ -202,6 +202,28 @@ def test_each_step_runs_one_forward_pass(name, runner, monkeypatch):
     assert len(calls) == steps + 1
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_steps_go_through_the_public_gradient_methods(name, monkeypatch):
+    # Profilers and tracers time descent steps by these two method names.
+    model, theta = model_zoo(3)[name]
+    steps = 6
+    cfg = _steady_config(model, theta, steps, seed=2)
+    seen = []
+    for method in ("gradient", "per_sample_gradient"):
+        original = getattr(type(model), method)
+
+        def counted(self, *args, _method=method, _original=original):
+            seen.append(_method)
+            return _original(self, *args)
+
+        monkeypatch.setattr(type(model), method, counted)
+    run_gd(model, theta, cfg)
+    assert seen == ["gradient"] * steps
+    seen.clear()
+    run_sgd(model, theta, cfg)
+    assert seen == ["per_sample_gradient"] * steps
+
+
 @pytest.mark.parametrize("name", ["lowrank", "net"])
 @pytest.mark.parametrize("seed", range(3))
 def test_gd_matches_two_pass_loop_bitwise(name, seed):

@@ -181,6 +181,16 @@ def test_gradient_equals_jacobian_transpose_residual(family, seed):
     assert_allclose(direct, composed, rtol=1e-12, atol=1e-12 * (1 + np.linalg.norm(composed)))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_measured_residual_gives_bitwise_same_gradients(family, seed):
+    model, theta = model_zoo(seed)[family]
+    r = model.residual(theta)
+    assert np.array_equal(model.gradient(theta, r), model.gradient(theta))
+    for i in range(model.n):
+        assert np.array_equal(model.per_sample_gradient(theta, i, r),
+                              model.per_sample_gradient(theta, i))
+
+
 @pytest.mark.parametrize("name", ["linear", "glm", "lowrank", "net"])
 @given(st.integers(0, 4), st.data())
 def test_pullback_equals_jacobian_transpose_product(name, seed, data):
