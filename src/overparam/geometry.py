@@ -27,9 +27,8 @@ class CertificationError(ValueError):
 class SpectrumBounds:
     """Extremal singular values of the Jacobian over a probed ball.
 
-    alpha/beta come with an optional safety margin: alpha is the probed
-    minimum times (1 - margin), beta the probed maximum times (1 + margin);
-    margin defaults to 0 so raw probe values are reported.
+    alpha and beta are the smallest and largest singular values seen at the
+    probed points.
     """
 
     alpha: float
@@ -41,7 +40,6 @@ class SpectrumBounds:
     center: Array
     n_rows: int
     p_cols: int
-    margin: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= self.beta and np.isfinite(self.beta)):
@@ -110,16 +108,21 @@ def probe_spectrum(
     samples: int = 64,
     seed: int = 0,
     trajectory_points: Array | None = None,
-    margin: float = 0.0,
     max_pairs: int = 4096,
 ) -> SpectrumBounds:
     """Probe the Jacobian spectrum at the center, in the ball, and along a path.
 
-    Every probed point gets a full dense SVD; the Lipschitz estimate is the
-    max of ||J(b) - J(a)|| / ||b - a|| over probed pairs (all pairs when that
-    is affordable, otherwise a deterministic subset anchored at the center),
-    each pairwise deviation taken from the top eigenvalue of its smaller Gram
-    (`spectral_norm`).
+    Every probed point gets a full dense SVD, one Jacobian at a time. The
+    Lipschitz estimate is the max of ||J(b) - J(a)|| / ||b - a|| over probed
+    pairs (all pairs when that is affordable, otherwise a deterministic subset
+    anchored at the center), found by an exact bound-ordered search:
+    `Model.deviation_bounds` bounds every pair's deviation at once, pairs are
+    visited in decreasing order of bound / gap, and the search stops at the
+    first pair whose bound / gap is no larger than the best ratio so far, as no
+    pair left can beat it. A visited pair's deviation is the `spectral_norm` of
+    the same difference the full loop takes (`model.jacobian` is deterministic;
+    only the center's Jacobian is kept), so the maximum is the full loop's bit
+    for bit. Coincident points are skipped.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -133,15 +136,16 @@ def probe_spectrum(
     if trajectory_points is not None:
         points.extend(np.asarray(trajectory_points, dtype=float))
 
-    jacobians = [model.jacobian(pt) for pt in points]
     sigma_min = np.inf
     sigma_max = 0.0
     row_bound = 0.0
-    for J in jacobians:
+    for pt in points:
+        J = model.jacobian(pt)
         sv = np.linalg.svd(J, compute_uv=False)
         sigma_min = min(sigma_min, float(sv[-1]))
         sigma_max = max(sigma_max, float(sv[0]))
         row_bound = max(row_bound, float(np.max(np.linalg.norm(J, axis=1))))
+    del J
 
     m = len(points)
     if m * (m - 1) // 2 <= max_pairs:
@@ -149,25 +153,29 @@ def probe_spectrum(
     else:
         pairs = [(0, j) for j in range(1, m)]
         pairs += [(j, j + 1) for j in range(1, m - 1)]
+    bound = model.deviation_bounds(points)
+    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+    keys = np.array([bound[i, j] / gap if gap > 0.0 else -np.inf
+                     for (i, j), gap in zip(pairs, gaps)])
+    center_jacobian = model.jacobian(center)
     lipschitz = 0.0
-    for i, j in pairs:
-        gap = float(np.linalg.norm(points[i] - points[j]))
-        if gap == 0.0:
-            continue
-        dev = spectral_norm(jacobians[i] - jacobians[j])
-        lipschitz = max(lipschitz, dev / gap)
+    for k in np.argsort(-keys, kind="stable"):
+        if keys[k] <= lipschitz:
+            break
+        i, j = pairs[k]
+        J_i = center_jacobian if i == 0 else model.jacobian(points[i])
+        lipschitz = max(lipschitz, spectral_norm(J_i - model.jacobian(points[j])) / gaps[k])
 
     return SpectrumBounds(
-        alpha=sigma_min * (1.0 - margin),
-        beta=sigma_max * (1.0 + margin),
-        row_bound_B=min(row_bound, sigma_max * (1.0 + margin)),
+        alpha=sigma_min,
+        beta=sigma_max,
+        row_bound_B=min(row_bound, sigma_max),
         lipschitz_L=lipschitz,
         probe_count=m,
         radius=radius,
         center=center,
         n_rows=model.n,
         p_cols=model.p,
-        margin=margin,
     )
 
 
@@ -296,6 +304,7 @@ def verify_assumptions(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    check_capacity(model)
     rng = np.random.default_rng(seed)
     points = [np.asarray(bounds.center, dtype=float)]
     points.extend(sample_ball(points[0], bounds.radius, samples, rng))

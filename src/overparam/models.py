@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -127,16 +127,31 @@ def _as_params(thetas: Array, p: int) -> Array:
     return thetas
 
 
+def _rounding_allowance(n: int, p: int) -> float:
+    """Relative rounding allowance rho of the pair deviation bounds (n x p Jacobians).
+
+    With u = eps / 2, k = min(n, p) and l = max(n, p), ``geometry.spectral_norm``
+    of fl(J_a - J_b) exceeds the exact ||J_a - J_b|| by at most a factor
+    1 + k (l + k + 2) u: one rounding per entry of the difference, the Gram's
+    inner products of length l in any summation order, a backward-stable
+    eigensolver (error below 2 k^2 u ||G||) and the square root. rho covers
+    that twice over, plus inner products of length n p in any order (the
+    default bound's Gram) and the few roundings that form each bound.
+    """
+    k, l = sorted((n, p))
+    return (n * p + 2 * k * (l + k + 2) + 16) * np.finfo(float).eps
+
+
 class Model:
     """Residual map f: R^p -> R^n with labels y and exact Jacobian.
 
     Subclasses implement ``predictions`` and ``jacobian``; everything else
     derives from those. Families with a closed form override ``pullback``,
-    through which ``gradient`` reaches J^T r. The only state a model gains
-    after construction is a lazily cached, deterministic array
-    (``LowRankModel.Xs_sym``), which is safe to build twice; otherwise models
-    are immutable and safe to share across workers, and all evaluations are
-    pure functions of (model, theta).
+    through which ``gradient`` reaches J^T r, and ``deviation_bounds``. The
+    only state a model gains after construction is a lazily cached,
+    deterministic array (``LowRankModel.Xs_sym``), which is safe to build
+    twice; otherwise models are immutable and safe to share across workers,
+    and all evaluations are pure functions of (model, theta).
     """
 
     n: int
@@ -198,21 +213,27 @@ class Model:
         r_i = float((self.residual(theta) if r is None else r)[i])
         return r_i * self.jacobian_row(theta, i)
 
-    def average_jacobian(self, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:
-        """Line-averaged Jacobian along the segment from theta_b to theta_a.
+    def deviation_bounds(self, points: Sequence[Array]) -> Array:
+        """Upper bounds on the Jacobian deviation of every pair of points, (m, m).
 
-        Satisfies f(a) - f(b) = average_jacobian(a, b) @ (a - b). The default
-        is a 16-node Gauss-Legendre rule; subclasses with closed forms
-        (constant, secant-diagonal, affine) override it exactly.
+        Entry (i, j) is no smaller than what ``geometry.spectral_norm`` returns
+        for jacobian(points[i]) - jacobian(points[j]), rounding included. The
+        default is the Frobenius norm of the difference from the Gram G of the
+        flattened Jacobians, sqrt(g_i + g_j - 2 G_ij), with 2 rho (g_i + g_j)
+        added under the root for the cancellation (rho from
+        ``_rounding_allowance``). It holds all m Jacobians at once; families
+        with a closed form override it without building any.
         """
-        a = _as_param(theta_a, self.p)
-        b = _as_param(theta_b, self.p)
-        xs, ws = np.polynomial.legendre.leggauss(nodes)
-        ts = 0.5 * (xs + 1.0)
-        out = np.zeros((self.n, self.p))
-        for t, w in zip(ts, ws):
-            out += 0.5 * w * self.jacobian(b + t * (a - b))
-        return out
+        jacobians = [self.jacobian(pt) for pt in points]
+        m = len(jacobians)
+        G = np.empty((m, m))
+        for i, J in enumerate(jacobians):
+            for j in range(i, m):
+                G[i, j] = G[j, i] = np.vdot(J, jacobians[j])
+        g = np.diag(G)
+        total = g[:, None] + g[None, :]
+        slack = 2.0 * _rounding_allowance(self.n, self.p) * total
+        return np.sqrt(np.maximum(total - 2.0 * G, 0.0) + slack)
 
 
 class LinearModel(Model):
@@ -244,10 +265,9 @@ class LinearModel(Model):
         _as_param(theta, self.p)
         return self.X.T @ r
 
-    def average_jacobian(self, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:
-        _as_param(theta_a, self.p)
-        _as_param(theta_b, self.p)
-        return self.X.copy()
+    def deviation_bounds(self, points: Sequence[Array]) -> Array:
+        """All zero: every Jacobian is a copy of X, so every difference is exactly 0."""
+        return np.zeros((len(points), len(points)))
 
 
 class GLMModel(Model):
@@ -281,22 +301,26 @@ class GLMModel(Model):
         z = self.X @ _as_param(theta, self.p)
         return self.X.T @ (self.act.dphi(z) * r)
 
-    def average_jacobian(self, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:
-        """Secant-slope diagonal times X; exact for any pair of points.
+    def deviation_bounds(self, points: Sequence[Array]) -> Array:
+        """||J(a) - J(b)|| <= ||delta||_inf ||X|| with delta = dphi(X a) - dphi(X b).
 
-        Entries where (X a)_i == (X b)_i exactly use dphi there (the divided
-        difference has a removable singularity).
+        The slopes dphi(X a) are evaluated exactly as ``jacobian`` evaluates
+        them, so the two Jacobians differ by diag(delta) X plus the rounding of
+        their entries: at most u (|dphi(X a)_r| + |dphi(X b)_r|) |X_r| on each
+        row r with delta_r != 0 (rows with equal slopes cancel exactly), which
+        adds u max_r(...) ||X||_F. The result is inflated by 1 + rho
+        (``_rounding_allowance``). Builds no Jacobian: one (m, n) slope matrix
+        and one row of bounds at a time.
         """
-        a = _as_param(theta_a, self.p)
-        b = _as_param(theta_b, self.p)
-        za = self.X @ a
-        zb = self.X @ b
-        dz = za - zb
-        same = dz == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (self.act.phi(za) - self.act.phi(zb)) / np.where(same, 1.0, dz)
-        slope = np.where(same, self.act.dphi(za), slope)
-        return slope[:, None] * self.X
+        slopes = np.array([self.act.dphi(self.X @ _as_param(pt, self.p)) for pt in points])
+        spec = float(np.linalg.norm(self.X, 2))
+        frob_u = 0.5 * np.finfo(float).eps * float(np.linalg.norm(self.X))
+        out = np.empty((len(slopes), len(slopes)))
+        for i, s in enumerate(slopes):
+            delta = s - slopes
+            sizes = np.where(delta != 0.0, np.abs(s) + np.abs(slopes), 0.0)
+            out[i] = np.max(np.abs(delta), axis=1) * spec + np.max(sizes, axis=1) * frob_u
+        return out * (1.0 + _rounding_allowance(self.n, self.p))
 
 
 class LowRankModel(Model):
@@ -351,12 +375,6 @@ class LowRankModel(Model):
         Theta = self.factor(theta)
         M = np.einsum("i,iab->ab", r, self.Xs)
         return self.flatten_factor((M + M.T) @ Theta)
-
-    def average_jacobian(self, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:
-        """Midpoint rule, exact because the Jacobian is affine in Theta."""
-        a = _as_param(theta_a, self.p)
-        b = _as_param(theta_b, self.p)
-        return self.jacobian(0.5 * (a + b))
 
 
 class ShallowNetModel(Model):

@@ -60,6 +60,25 @@ def fd_gradient(value: Callable[[Array], float], theta: Array, h: float | None =
     return g
 
 
+def average_jacobian(model: Model, theta_a: Array, theta_b: Array, nodes: int = 16) -> Array:
+    """Line-averaged Jacobian along the segment from theta_b to theta_a.
+
+    Satisfies f(a) - f(b) = average_jacobian(model, a, b) @ (a - b) up to the
+    error of a Gauss-Legendre rule with the given number of nodes. The rule is
+    applied to the increments J(b + t (a - b)) - J(b), so a constant Jacobian
+    comes back exactly.
+    """
+    a = np.asarray(theta_a, dtype=float)
+    b = np.asarray(theta_b, dtype=float)
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    ts = 0.5 * (xs + 1.0)
+    base = model.jacobian(b)
+    out = base.copy()
+    for t, w in zip(ts, ws):
+        out += 0.5 * w * (model.jacobian(b + t * (a - b)) - base)
+    return out
+
+
 def enumerate_sgd_expectation(
     model: Model, theta: Array, eta: float, g: Callable[[Array], float | Array]
 ) -> float | Array:

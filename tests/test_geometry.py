@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overparam import geometry
 from overparam.geometry import (
     CertificationError,
     SpectrumBounds,
@@ -118,10 +121,53 @@ def test_probe_lipschitz_matches_dense_pair_loop(family, max_pairs):
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     else:  # center to every point, then consecutive points
         pairs = [(0, j) for j in range(1, m)] + [(j, j + 1) for j in range(1, m - 1)]
+    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+    jacobians = [model.jacobian(pt) for pt in points]
+    unpruned = max(spectral_norm(jacobians[i] - jacobians[j]) / gap
+                   for (i, j), gap in zip(pairs, gaps))
+    assert b.lipschitz_L == unpruned
     devs = dense_deviations(model, points, pairs)
-    want = max(dev / float(np.linalg.norm(points[i] - points[j]))
-               for dev, (i, j) in zip(devs, pairs))
-    assert b.lipschitz_L == pytest.approx(want, rel=1e-12, abs=0.0)
+    dense = max(dev / gap for dev, gap in zip(devs, gaps))
+    assert b.lipschitz_L == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def glm_probe_instance():
+    rng = np.random.default_rng(7)
+    model = GLMModel(rng.standard_normal((20, 50)), rng.standard_normal(20), tanh_linear(0.3))
+    return model, rng.standard_normal(50)
+
+
+def test_probe_eigensolves_only_pairs_that_can_win(monkeypatch):
+    model, theta = glm_probe_instance()
+    solves = []
+
+    def counting(A):
+        solves.append(A.shape)
+        return spectral_norm(A)
+
+    monkeypatch.setattr(geometry, "spectral_norm", counting)
+    b = probe_spectrum(model, theta, 1.0, samples=64, seed=0)
+    assert b.probe_count == 65
+    assert 0 < len(solves) < 65 * 64 // 2
+
+
+def test_glm_probe_holds_few_jacobians(monkeypatch):
+    model, theta = glm_probe_instance()
+    jacobian = model.jacobian
+    live, calls, most = set(), [0], [0]
+
+    def tracked(pt):
+        J = jacobian(pt)
+        calls[0] += 1
+        live.add(calls[0])
+        weakref.finalize(J, live.discard, calls[0])
+        most[0] = max(most[0], len(live))
+        return J
+
+    monkeypatch.setattr(model, "jacobian", tracked)
+    probe_spectrum(model, theta, 1.0, samples=64, seed=0)
+    assert calls[0] > 65
+    assert most[0] <= 3
 
 
 def test_probe_capacity_error():
@@ -130,12 +176,48 @@ def test_probe_capacity_error():
         probe_spectrum(m, np.zeros(2001), 1.0, samples=1, seed=0)
 
 
-def test_probe_margin_discounts_bounds():
-    m = LinearModel(np.diag([1.0, 2.0]), np.zeros(2))
-    raw = probe_spectrum(m, np.zeros(2), 1.0, samples=4, seed=0)
-    disc = probe_spectrum(m, np.zeros(2), 1.0, samples=4, seed=0, margin=0.1)
-    assert disc.alpha == pytest.approx(raw.alpha * 0.9)
-    assert disc.beta == pytest.approx(raw.beta * 1.1)
+def test_probe_alpha_beta_are_raw_extrema(family):
+    model, theta = model_zoo(13)[family]
+    b = probe_spectrum(model, theta, 1.0, samples=6, seed=2)
+    points = [theta, *sample_ball(theta, 1.0, 6, np.random.default_rng(2))]
+    svs = [np.linalg.svd(model.jacobian(pt), compute_uv=False) for pt in points]
+    assert b.alpha == min(float(sv[-1]) for sv in svs)
+    assert b.beta == max(float(sv[0]) for sv in svs)
+
+
+# ---------------------------------------------------------------------------
+# Model.deviation_bounds
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["linear", "glm", "lowrank", "net"]),
+    zoo_seed=st.integers(0, 50),
+    log_radii=st.lists(st.integers(-15, 2), min_size=1, max_size=4),
+    log_scale=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scale, seed):
+    model, theta = model_zoo(zoo_seed)[family]
+    rng = np.random.default_rng(seed)
+    theta = theta * 10.0**log_scale
+    # coincident, then near-coincident: every coordinate one ulp away either
+    # way, and the last bits of a far point changed
+    points = [theta, theta.copy(), np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf)]
+    for log_radius in log_radii:
+        step = rng.standard_normal(model.p)
+        points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
+    points.append(points[-1] * (1.0 + 2.0**-52))
+    bounds = model.deviation_bounds(points)
+    assert bounds.shape == (len(points), len(points))
+    jacobians = [model.jacobian(pt) for pt in points]
+    for i in range(len(points)):
+        for j in range(len(points)):
+            dev = spectral_norm(jacobians[i] - jacobians[j])
+            if family == "linear":
+                assert bounds[i, j] == 0.0
+            else:
+                assert dev <= bounds[i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +318,15 @@ def test_sgd_plan_smooth_regime_shrinks_eta():
 # ---------------------------------------------------------------------------
 # verify_assumptions
 # ---------------------------------------------------------------------------
+
+def test_verify_capacity_refused_before_any_jacobian(monkeypatch):
+    m = LinearModel(np.zeros((2001, 2001)), np.zeros(2001))
+    built = []
+    monkeypatch.setattr(m, "jacobian", lambda theta: built.append(theta))
+    with pytest.raises(CapacityError):
+        verify_assumptions(m, make_bounds(1.0, 1.0, n=2001, p=2001), samples=4, seed=0)
+    assert built == []
+
 
 def test_verify_linear_bounded_holds():
     m = LinearModel(np.diag([1.0, 2.0]), np.zeros(2))
