@@ -191,14 +191,12 @@ def auto_tune_lowrank_eta(
 
 
 def resolve_eta(cfg: RunConfig, model: Model, theta0: Array,
-                bounds: SpectrumBounds | None) -> tuple[float, str]:
+                bounds: SpectrumBounds) -> tuple[float, str]:
     """Step size from the config, or the family rule when set to auto."""
     explicit = eta_value(cfg)
     if explicit is not None:
         return explicit, "explicit"
     if cfg.optimizer == "sgd":
-        if bounds is None:
-            raise ConfigError("auto SGD step size needs probed bounds")
         plan = sgd_plan(bounds, model.misfit(theta0), nu=cfg.nu, regime=cfg.regime)
         return plan.eta, "sgd plan"
     if isinstance(model, GLMModel):
@@ -208,12 +206,9 @@ def resolve_eta(cfg: RunConfig, model: Model, theta0: Array,
     if isinstance(model, LowRankModel):
         eta, c1 = auto_tune_lowrank_eta(model, theta0)
         return eta, f"lowrank rule, backtracked c1={c1:g}"
-    spec_norm = float(np.linalg.norm(model.X, 2)) if isinstance(model, LinearModel) else None
-    if spec_norm is not None and spec_norm > 0:
-        return 1.0 / (2.0 * spec_norm**2), "linear rule 1/(2 ||X||^2)"
-    if bounds is None:
-        raise ConfigError("cannot resolve an automatic step size")
-    return gd_plan(bounds, model.misfit(theta0), cfg.regime, cfg.lam).eta, "gd plan"
+    # Only the linear family is left, and its X (identity or Gaussian) is non-zero.
+    spec_norm = float(np.linalg.norm(model.X, 2))
+    return 1.0 / (2.0 * spec_norm**2), "linear rule 1/(2 ||X||^2)"
 
 
 def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: float) -> float:
@@ -384,20 +379,6 @@ def run_lowrank_experiment(
     return traj, eta, c1
 
 
-def run_lower_bound_instance(
-    alpha: float, beta: float, p: int, mode: str,
-    iters: int = 10_000, eta: float | None = None,
-) -> tuple[Trajectory, float]:
-    """Run descent on the adversarial instance; returns (trajectory, max line deviation)."""
-    model, theta0 = bnd.make_lower_bound_instance(alpha, beta, p, mode)
-    if eta is None:
-        eta = 0.5 / beta**2
-    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters))
-    coeff = bnd.tight_line_coefficient(alpha, beta, mode)
-    deviation = float(np.max(np.abs(traj.misfit + coeff * traj.dist_init - traj.misfit0)))
-    return traj, deviation
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -479,23 +460,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    traj, deviation = run_lower_bound_instance(
-        args.alpha, args.beta, args.p, args.mode, iters=args.iters,
-        eta=float(args.eta) if args.eta not in (None, "auto") else None,
-    )
+    model, theta0 = bnd.make_lower_bound_instance(args.alpha, args.beta, args.p, args.mode)
+    eta = float(args.eta) if args.eta not in (None, "auto") else 0.5 / args.beta**2
+    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=args.iters))
+    coefficient = bnd.tight_line_coefficient(args.alpha, args.beta, args.mode)
+    (line,) = bnd.check_tight_line(traj, coefficient).rows
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     traj.save(out / f"lower_bound_{args.mode}.csv")
-    tolerance = 1e-8 * traj.misfit0
     text = (
         f"alpha={args.alpha:g} beta={args.beta:g} p={args.p} mode={args.mode}\n"
-        f"max deviation from the tradeoff line: {deviation:.17g} "
-        f"(tolerance {tolerance:.6g})\n"
+        f"max deviation from the tradeoff line: {line.max_violation:.17g} "
+        f"(tolerance {line.tolerance:.6g})\n"
     )
     (out / f"lower_bound_{args.mode}_report.txt").write_text(text, encoding="utf-8")
     if not args.quiet:
         sys.stdout.write(text)
-    return EXIT_OK if deviation <= tolerance else EXIT_VIOLATION
+    return EXIT_OK if line.passed else EXIT_VIOLATION
 
 
 def cmd_experiment_lowrank(args) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -23,10 +23,21 @@ from .models import Model
 
 Array = np.ndarray
 
-TRAJECTORY_HEADER = (
-    "iter,loss,misfit,dist_init,path_len,step_norm,"
-    "gd_potential,sgd_potential,norm_misfit,norm_dist"
+# (CSV column, Trajectory field) in column order: the one statement of the schema.
+_COLUMNS = (
+    ("iter", "iters"),
+    ("loss", "loss"),
+    ("misfit", "misfit"),
+    ("dist_init", "dist_init"),
+    ("path_len", "path_len"),
+    ("step_norm", "step_norm"),
+    ("gd_potential", "gd_potential"),
+    ("sgd_potential", "sgd_potential"),
+    ("norm_misfit", "norm_misfit"),
+    ("norm_dist", "norm_dist"),
 )
+TRAJECTORY_HEADER = ",".join(column for column, _ in _COLUMNS)
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -98,29 +109,25 @@ class Trajectory:
     # -- serialization -----------------------------------------------------
 
     def to_csv(self, stream: TextIO) -> None:
-        """Emit the bit-exact CSV schema plus `#` trailer metadata lines."""
+        """Emit the bit-exact CSV schema plus `#` trailer metadata lines.
+
+        Every value prints as f"{x:.17g}" (iteration counts, being whole
+        numbers below 1e17, print as plain integers), so nan and inf appear as
+        ``nan`` and ``inf``; only sgd_potential prints NaN (no anchor potential
+        was evaluated) as an empty field.
+        """
         stream.write(TRAJECTORY_HEADER + "\n")
         if self.norm_dist_is_raw:
             stream.write("# norm_dist holds raw dist_init (theta0 has zero norm)\n")
-        for idx in range(len(self.iters)):
-            sgd = "" if math.isnan(self.sgd_potential[idx]) else _fmt(self.sgd_potential[idx])
-            stream.write(
-                ",".join(
-                    [
-                        str(int(self.iters[idx])),
-                        _fmt(self.loss[idx]),
-                        _fmt(self.misfit[idx]),
-                        _fmt(self.dist_init[idx]),
-                        _fmt(self.path_len[idx]),
-                        _fmt(self.step_norm[idx]),
-                        _fmt(self.gd_potential[idx]),
-                        sgd,
-                        _fmt(self.norm_misfit[idx]),
-                        _fmt(self.norm_dist[idx]),
-                    ]
-                )
-                + "\n"
-            )
+        # Format a block of rows at a time, column by column, so the cells held
+        # at once stay small next to the trajectory itself.
+        for first in range(0, len(self), _CSV_BLOCK_ROWS):
+            cells = []
+            for _, name in _COLUMNS:
+                nan = "" if name == "sgd_potential" else "nan"
+                values = getattr(self, name)[first:first + _CSV_BLOCK_ROWS].tolist()
+                cells.append([nan if math.isnan(v) else _fmt(v) for v in values])
+            stream.writelines(",".join(row) + "\n" for row in zip(*cells))
         stream.write(f"# termination={self.termination}\n")
         stream.write(f"# eta={_fmt(self.eta)}\n")
         stream.write(f"# misfit0={_fmt(self.misfit0)}\n")
@@ -139,7 +146,7 @@ class Trajectory:
         header = stream.readline().rstrip("\n")
         if header != TRAJECTORY_HEADER:
             raise ValueError(f"unexpected trajectory header: {header!r}")
-        cols: list[list[float]] = [[] for _ in range(10)]
+        cols: list[list[float]] = [[] for _ in _COLUMNS]
         meta: dict[str, str] = {}
         norm_dist_is_raw = False
         for raw in stream:
@@ -155,23 +162,14 @@ class Trajectory:
                     norm_dist_is_raw = True
                 continue
             parts = line.split(",")
-            if len(parts) != 10:
+            if len(parts) != len(_COLUMNS):
                 raise ValueError(f"malformed trajectory row: {line!r}")
             for k, part in enumerate(parts):
                 cols[k].append(float(part) if part != "" else math.nan)
         theta_final = np.array([float(v) for v in meta.get("theta_final", "").split()])
         abort = meta.get("abort_iter")
         return cls(
-            iters=np.array(cols[0], dtype=int),
-            loss=np.array(cols[1]),
-            misfit=np.array(cols[2]),
-            dist_init=np.array(cols[3]),
-            path_len=np.array(cols[4]),
-            step_norm=np.array(cols[5]),
-            gd_potential=np.array(cols[6]),
-            sgd_potential=np.array(cols[7]),
-            norm_misfit=np.array(cols[8]),
-            norm_dist=np.array(cols[9]),
+            **_column_fields(cols),
             theta_final=theta_final,
             termination=meta.get("termination", "unknown"),
             eta=float(meta.get("eta", "nan")),
@@ -192,66 +190,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-class _Recorder:
-    """Accumulates rows for a Trajectory under construction."""
-
-    def __init__(self, theta0: Array, misfit0: float, cfg: OptimConfig):
-        self.theta0 = theta0.copy()
-        self.theta0_norm = float(np.linalg.norm(theta0))
-        self.misfit0 = misfit0
-        self.cfg = cfg
-        self.norm_dist_is_raw = self.theta0_norm == 0.0
-        self.rows: list[tuple] = []
-        self.thetas: list[Array] | None = [] if cfg.record_thetas else None
-        self.last_iter = -1
-
-    def record(
-        self,
-        tau: int,
-        theta: Array,
-        loss: float,
-        misfit: float,
-        path_len: float,
-        step_norm: float,
-        gd_potential: float,
-        sgd_potential: float = math.nan,
-    ) -> None:
-        if tau == self.last_iter:
-            return
-        self.last_iter = tau
-        dist = float(np.linalg.norm(theta - self.theta0))
-        norm_misfit = misfit / self.misfit0 if self.misfit0 > 0 else misfit
-        norm_dist = dist if self.norm_dist_is_raw else dist / self.theta0_norm
-        self.rows.append(
-            (tau, loss, misfit, dist, path_len, step_norm, gd_potential, sgd_potential,
-             norm_misfit, norm_dist)
-        )
-        if self.thetas is not None:
-            self.thetas.append(theta.copy())
-
-    def finish(self, theta: Array, termination: str, abort_iter: int | None = None) -> Trajectory:
-        data = np.array(self.rows, dtype=float)
-        return Trajectory(
-            iters=data[:, 0].astype(int),
-            loss=data[:, 1],
-            misfit=data[:, 2],
-            dist_init=data[:, 3],
-            path_len=data[:, 4],
-            step_norm=data[:, 5],
-            gd_potential=data[:, 6],
-            sgd_potential=data[:, 7],
-            norm_misfit=data[:, 8],
-            norm_dist=data[:, 9],
-            theta_final=theta.copy(),
-            termination=termination,
-            eta=self.cfg.eta,
-            misfit0=self.misfit0,
-            theta0_norm=self.theta0_norm,
-            record_every=self.cfg.record_every,
-            norm_dist_is_raw=self.norm_dist_is_raw,
-            abort_iter=abort_iter,
-            thetas=np.array(self.thetas) if self.thetas is not None else None,
-        )
+def _column_fields(columns: Iterable) -> dict[str, Array]:
+    """The Trajectory column fields from value sequences in CSV column order."""
+    fields = {name: np.array(values, dtype=float) for (_, name), values in zip(_COLUMNS, columns)}
+    fields["iters"] = fields["iters"].astype(int)
+    return fields
 
 
 def _descend(
@@ -259,7 +202,7 @@ def _descend(
     cfg: OptimConfig,
     measure: Callable[[Array], tuple[float, float, Array | None]],
     direction: Callable[[int, Array, Array | None], Array],
-    potential: Callable[[Array, float, float], float],
+    potential: Callable[[float, float, float], float],
     anchored: Callable[[Array, float], float] | None = None,
     stationary_exit: bool = True,
 ) -> Trajectory:
@@ -267,21 +210,29 @@ def _descend(
 
     measure(theta) returns (loss, misfit, r), where r is the residual at theta
     (None for a general loss) and is handed to the direction of the next step,
-    so theta is evaluated once per step. potential(theta, misfit, path_len)
+    so theta is evaluated once per step. potential(dist_init, misfit, path_len)
     fills the gd_potential column and anchored(theta, misfit) the
     sgd_potential column. Overflow raises no warning: a non-finite loss ends
     the run as "non_finite" with abort_iter set.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.asarray(theta0, dtype=float).copy()
+        start = np.array(theta0, dtype=float)
+        theta = start.copy()
         loss, misfit, r = measure(theta)
-        rec = _Recorder(theta, misfit, cfg)
+        misfit0 = misfit
         path_len = step_norm = 0.0
+        rows: list[tuple] = []  # iter through sgd_potential, one tuple per recorded iterate
+        thetas: list[Array] | None = [] if cfg.record_thetas else None
 
         def record(tau: int) -> None:
+            if rows and rows[-1][0] == tau:
+                return
             sgd = math.nan if anchored is None else anchored(theta, misfit)
-            rec.record(tau, theta, loss, misfit, path_len, step_norm,
-                       potential(theta, misfit, path_len), sgd)
+            dist = float(np.linalg.norm(theta - start))
+            rows.append((tau, loss, misfit, dist, path_len, step_norm,
+                         potential(dist, misfit, path_len), sgd))
+            if thetas is not None:
+                thetas.append(theta.copy())
 
         record(0)
         termination = "max_iters"
@@ -310,7 +261,22 @@ def _descend(
             if misfit <= cfg.tol_misfit:
                 termination = "tol"
                 break
-        return rec.finish(theta, termination, abort_iter)
+        # norm_misfit and norm_dist; dividing by 1.0 leaves a column bit-for-bit unchanged.
+        columns = np.array(rows, dtype=float).T
+        theta0_norm = float(np.linalg.norm(start))
+        return Trajectory(
+            **_column_fields([*columns, columns[2] / (misfit0 if misfit0 > 0 else 1.0),
+                              columns[3] / (theta0_norm or 1.0)]),
+            theta_final=theta.copy(),
+            termination=termination,
+            eta=cfg.eta,
+            misfit0=misfit0,
+            theta0_norm=theta0_norm,
+            record_every=cfg.record_every,
+            norm_dist_is_raw=theta0_norm == 0.0,
+            abort_iter=abort_iter,
+            thetas=None if thetas is None else np.array(thetas),
+        )
 
 
 def _measure_residual(model: Model, theta: Array) -> tuple[float, float, Array]:
@@ -318,6 +284,11 @@ def _measure_residual(model: Model, theta: Array) -> tuple[float, float, Array]:
     r = model.residual(theta)
     misfit = float(np.linalg.norm(r))
     return 0.5 * misfit**2, misfit, r
+
+
+def _misfit_potential(cfg: OptimConfig) -> Callable[[float, float, float], float]:
+    """The least-squares runs' gd_potential: misfit + potential_zeta * path_len."""
+    return lambda dist, misfit, path_len: misfit + cfg.potential_zeta * path_len
 
 
 def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
@@ -332,7 +303,7 @@ def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     return _descend(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
         direction=lambda tau, theta, r: model.gradient(theta, r),
-        potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
+        potential=_misfit_potential(cfg),
     )
 
 
@@ -373,7 +344,7 @@ def run_sgd(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
         direction=lambda tau, theta, r: model.per_sample_gradient(
             theta, int(indices[tau - 1]), r),
-        potential=lambda theta, misfit, path_len: misfit + cfg.potential_zeta * path_len,
+        potential=_misfit_potential(cfg),
         anchored=None if anchors is None else anchored_potential,
         stationary_exit=False,
     )
@@ -405,18 +376,15 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
         raise ValueError(
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
-    start = np.array(theta0, dtype=float)
 
     def measure(theta: Array) -> tuple[float, float, None]:
         loss = float(loss_fn.value(theta))
         return loss, math.sqrt(max(loss, 0.0)), None
 
     return _descend(
-        start, cfg, measure,
+        theta0, cfg, measure,
         direction=lambda tau, theta, _: np.asarray(loss_fn.grad(theta), dtype=float),
-        potential=lambda theta, root, path_len: (
-            math.sqrt(mu / 8.0) * float(np.linalg.norm(theta - start)) + root
-        ),
+        potential=lambda dist, root, path_len: math.sqrt(mu / 8.0) * dist + root,
     )
 
 

@@ -197,14 +197,22 @@ def test_verify_net_formula_brackets_probe():
     assert net_step_size(model, theta0) > 0
 
 
-def test_lower_bound_command_tight_upper(tmp_path):
+@pytest.mark.parametrize("mode", ["tight-upper", "tight-lower"])
+def test_lower_bound_command_tight_upper(tmp_path, mode):
+    slope = {"tight-upper": 2.0, "tight-lower": 1.0}[mode]  # beta, alpha
     out = tmp_path / "lb"
     code = main(["lower-bound", "--alpha", "1", "--beta", "2", "--p", "2",
-                 "--mode", "tight-upper", "--iters", "2000",
+                 "--mode", mode, "--iters", "2000",
                  "--out", str(out), "--quiet"])
     assert code == EXIT_OK
-    report = (out / "lower_bound_tight-upper_report.txt").read_text()
-    assert "max deviation" in report
+    report = (out / f"lower_bound_{mode}_report.txt").read_text()
+    traj = Trajectory.load(out / f"lower_bound_{mode}.csv")
+    deviation = float(np.max(np.abs(traj.misfit + slope * traj.dist_init - traj.misfit0)))
+    assert report == (
+        f"alpha=1 beta=2 p=2 mode={mode}\n"
+        f"max deviation from the tradeoff line: {deviation:.17g} "
+        f"(tolerance {1e-8 * traj.misfit0:.6g})\n"
+    )
 
 
 def test_lower_bound_command_degenerate_alpha_equals_beta(tmp_path):

@@ -20,6 +20,7 @@ from overparam.descent import (
 )
 from overparam.models import GLMModel, LinearModel, tanh_linear
 from overparam.oracle import average_jacobian, enumerate_sgd_expectation, fd_gradient
+from overparam.potentials import AnchorSet
 
 from conftest import model_zoo
 
@@ -407,21 +408,25 @@ def test_local_pl_check_nonconvex_probe_defined_mu():
 # CSV round trip
 # ---------------------------------------------------------------------------
 
+CSV_FIELDS = ("iters", "loss", "misfit", "dist_init", "path_len", "step_norm",
+              "gd_potential", "sgd_potential", "norm_misfit", "norm_dist")
+
+
 def _roundtrip(traj: Trajectory) -> Trajectory:
     buf = io.StringIO()
     traj.to_csv(buf)
     buf.seek(0)
-    return Trajectory.from_csv(buf)
+    back = Trajectory.from_csv(buf)
+    for name in CSV_FIELDS:
+        assert np.array_equal(getattr(traj, name), getattr(back, name), equal_nan=True), name
+    return back
 
 
 def test_trajectory_csv_roundtrip_exact():
     m = LinearModel(np.diag([1.0, 2.0]), np.array([0.0, 4.0]))
     traj = run_sgd(m, np.zeros(2), OptimConfig(eta=1 / 64, max_iters=50, seed=7))
     back = _roundtrip(traj)
-    for name in ("iters", "loss", "misfit", "dist_init", "path_len", "step_norm",
-                 "gd_potential", "norm_misfit", "norm_dist"):
-        assert np.array_equal(getattr(traj, name), getattr(back, name)), name
-    assert np.array_equal(traj.sgd_potential, back.sgd_potential, equal_nan=True)
+    assert np.all(np.isnan(back.sgd_potential))
     assert np.array_equal(traj.theta_final, back.theta_final)
     assert back.termination == traj.termination
     assert back.eta == traj.eta
@@ -429,6 +434,79 @@ def test_trajectory_csv_roundtrip_exact():
     assert back.theta0_norm == traj.theta0_norm
     assert back.record_every == traj.record_every
     assert back.norm_dist_is_raw == traj.norm_dist_is_raw
+
+
+def _row_by_row_csv(traj: Trajectory) -> str:
+    """Reference writer: one f"{float(x):.17g}" call per cell, NaN blank only
+    in sgd_potential."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    lines = [",".join(("iter",) + CSV_FIELDS[1:])]
+    if traj.norm_dist_is_raw:
+        lines.append("# norm_dist holds raw dist_init (theta0 has zero norm)")
+    for idx in range(len(traj.iters)):
+        cells = [str(int(traj.iters[idx]))]
+        for name in CSV_FIELDS[1:]:
+            x = getattr(traj, name)[idx]
+            cells.append("" if name == "sgd_potential" and math.isnan(x) else fmt(x))
+        lines.append(",".join(cells))
+    lines += [f"# termination={traj.termination}", f"# eta={fmt(traj.eta)}",
+              f"# misfit0={fmt(traj.misfit0)}", f"# theta0_norm={fmt(traj.theta0_norm)}",
+              f"# record_every={traj.record_every}"]
+    if traj.abort_iter is not None:
+        lines.append(f"# abort_iter={traj.abort_iter}")
+    lines.append("# theta_final=" + " ".join(fmt(v) for v in traj.theta_final))
+    return "\n".join(lines) + "\n"
+
+
+def _divergent_glm_run():
+    model, theta = model_zoo(0)["glm"]
+    traj = run_gd(model, theta, OptimConfig(eta=50.0, max_iters=2000))
+    assert traj.abort_iter is not None
+    assert np.isinf(traj.misfit[-1]) and np.isnan(traj.gd_potential[-1])
+    return traj
+
+
+def _anchored_sgd_run():
+    m = LinearModel(np.diag([1.0, 2.0]), np.array([0.0, 4.0]))
+    anchors = AnchorSet(anchors=np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),
+                        epsilon=1.0, radius_Rp=5.0, center=np.zeros(2), K=3)
+    traj = run_sgd(m, np.zeros(2), OptimConfig(eta=1 / 64, max_iters=50, seed=7),
+                   anchors=anchors, alpha=0.5)
+    assert np.all(np.isfinite(traj.sgd_potential)) and traj.norm_dist_is_raw
+    return traj
+
+
+def _stationary_run():
+    # one unit step lands on the least-squares solution, where the gradient is
+    # exactly zero; the stride of 3 leaves that iterate for the exit to record
+    m = LinearModel(np.diag([1.0, 0.0]), np.ones(2))
+    traj = run_gd(m, np.full(2, 0.5), OptimConfig(eta=1.0, max_iters=10, record_every=3))
+    assert traj.termination == "stationary" and list(traj.iters) == [0, 1]
+    return traj
+
+
+def _strided_run():
+    # long enough to span more than one formatting block of the writer
+    m = LinearModel(np.array([[1.0], [0.0]]), np.ones(2))
+    traj = run_gd(m, np.array([2.0]), OptimConfig(eta=1e-3, max_iters=7203, record_every=7))
+    assert len(traj) == 1030 and list(traj.iters[-3:]) == [7189, 7196, 7203]
+    return traj
+
+
+@pytest.mark.parametrize("run", [_divergent_glm_run, _anchored_sgd_run, _stationary_run,
+                                 _strided_run], ids=lambda run: run.__name__.strip("_"))
+def test_trajectory_csv_matches_row_formatter(run):
+    traj = run()
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    # line by line, so a mismatch reports its first differing line
+    written, expected = buf.getvalue().split("\n"), _row_by_row_csv(traj).split("\n")
+    assert len(written) == len(expected)
+    for got, want in zip(written, expected):
+        assert got == want
+    _roundtrip(traj)
 
 
 def test_trajectory_csv_raw_norm_dist_flag():
