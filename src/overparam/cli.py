@@ -192,10 +192,14 @@ def auto_tune_lowrank_eta(
 
 def resolve_eta(cfg: RunConfig, model: Model, theta0: Array,
                 bounds: SpectrumBounds) -> tuple[float, str]:
-    """Step size from the config, or the family rule when set to auto."""
+    """Step size from the config, or the optimizer's or family's rule when set to auto."""
     explicit = eta_value(cfg)
     if explicit is not None:
         return explicit, "explicit"
+    if cfg.optimizer == "pl":
+        if isinstance(model, LinearModel):
+            return 1.0 / bounds.beta**2, "pl rule 1/L"
+        return 1.0 / (2.0 * bounds.beta**2), "pl rule 1/(2 beta^2)"
     if cfg.optimizer == "sgd":
         plan = sgd_plan(bounds, model.misfit(theta0), nu=cfg.nu, regime=cfg.regime)
         return plan.eta, "sgd plan"
@@ -329,10 +333,6 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     elif opt == "pl":
         mu = bounds.alpha**2
         smooth_L = bounds.beta**2 if isinstance(model, LinearModel) else None
-        if eta_value(cfg) is None:
-            eta = 1.0 / smooth_L if smooth_L else 1.0 / (2.0 * bounds.beta**2)
-            eta_note = "pl rule 1/L" if smooth_L else "pl rule 1/(2 beta^2)"
-            summary.append(f"eta={eta:.17g} ({eta_note})")
         loss_fn = GeneralLoss(value=model.loss, grad=model.gradient, smoothness_L=smooth_L)
         loss0 = model.loss(theta0)
         pl_radius = math.sqrt(8.0 * loss0 / mu) if loss0 > 0 else bounds.radius

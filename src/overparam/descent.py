@@ -6,9 +6,10 @@ single-sample stochastic gradient descent, and gradient descent on a general
 loss under a local gradient-dominance condition. Each step of the two
 least-squares runs evaluates the model's forward pass once: the residual
 measured for the misfit column is the one the next step pulls back through
-the Jacobian (``Model.gradient(theta, r)``). A single run is strictly
-sequential; independent runs may execute concurrently and finished
-trajectories are immutable.
+the Jacobian (``Model.gradient(theta, r)``). Beyond that, a step takes the
+dot-product norms (``models.vector_norm``) of r, the step and theta - theta0;
+the model checks theta once per call. A single run is strictly sequential;
+independent runs may execute concurrently and finished trajectories are immutable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .models import Model
+from .models import Model, vector_norm
 
 Array = np.ndarray
 
@@ -124,9 +125,9 @@ class Trajectory:
         for first in range(0, len(self), _CSV_BLOCK_ROWS):
             cells = []
             for _, name in _COLUMNS:
-                nan = "" if name == "sgd_potential" else "nan"
+                blank = name == "sgd_potential"
                 values = getattr(self, name)[first:first + _CSV_BLOCK_ROWS].tolist()
-                cells.append([nan if math.isnan(v) else _fmt(v) for v in values])
+                cells.append(["" if blank and math.isnan(v) else f"{v:.17g}" for v in values])
             stream.writelines(",".join(row) + "\n" for row in zip(*cells))
         stream.write(f"# termination={self.termination}\n")
         stream.write(f"# eta={_fmt(self.eta)}\n")
@@ -228,7 +229,7 @@ def _descend(
             if rows and rows[-1][0] == tau:
                 return
             sgd = math.nan if anchored is None else anchored(theta, misfit)
-            dist = float(np.linalg.norm(theta - start))
+            dist = vector_norm(theta - start)
             rows.append((tau, loss, misfit, dist, path_len, step_norm,
                          potential(dist, misfit, path_len), sgd))
             if thetas is not None:
@@ -248,7 +249,7 @@ def _descend(
                 break
             step = cfg.eta * g
             theta = theta - step
-            step_norm = float(np.linalg.norm(step))
+            step_norm = vector_norm(step)
             path_len += step_norm
             loss, misfit, r = measure(theta)
             terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
@@ -282,7 +283,7 @@ def _descend(
 def _measure_residual(model: Model, theta: Array) -> tuple[float, float, Array]:
     """(0.5 * misfit^2, misfit, residual) at theta, for the least-squares runs."""
     r = model.residual(theta)
-    misfit = float(np.linalg.norm(r))
+    misfit = vector_norm(r)
     return 0.5 * misfit**2, misfit, r
 
 
@@ -335,7 +336,8 @@ def run_sgd(
     indices = sgd_index_stream(cfg.seed, model.n, cfg.max_iters)
 
     def anchored_potential(theta: Array, misfit: float) -> float:
-        dists = np.linalg.norm(anchors.anchors - theta[None, :], axis=1)
+        D = anchors.anchors - theta
+        dists = np.sqrt(np.add.reduce(D * D, axis=1))  # np.linalg.norm(D, axis=1), bit for bit
         return 12.0 * misfit + (alpha / anchors.K) * float(dists.sum())
 
     # One sample's gradient can vanish at a point that is not stationary for

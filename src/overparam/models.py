@@ -7,6 +7,7 @@ column-major (columns concatenated), hidden-layer weight matrices row by row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -112,7 +113,7 @@ def _as_param(theta: Array, p: int) -> Array:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (p,):
         raise ValueError(f"parameter vector has shape {theta.shape}, expected ({p},)")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("parameter vector contains non-finite entries")
     return theta
 
@@ -122,9 +123,15 @@ def _as_params(thetas: Array, p: int) -> Array:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != p:
         raise ValueError(f"parameter stack has shape {thetas.shape}, expected (m, {p})")
-    if not np.all(np.isfinite(thetas)):
+    if not np.isfinite(thetas).all():
         raise ValueError("parameter vector contains non-finite entries")
     return thetas
+
+
+def vector_norm(v: Array) -> float:
+    """np.linalg.norm(v) bit for bit, for a contiguous 1-D float array v only: numpy
+    takes sqrt(v.dot(v)) of a contiguous copy, and a strided dot may sum in another order."""
+    return math.sqrt(v @ v)
 
 
 def _rounding_allowance(n: int, p: int) -> float:
@@ -147,11 +154,13 @@ class Model:
 
     Subclasses implement ``predictions`` and ``jacobian``; everything else
     derives from those. Families with a closed form override ``pullback``,
-    through which ``gradient`` reaches J^T r, and ``deviation_bounds``. The
-    only state a model gains after construction is a lazily cached,
-    deterministic array (``LowRankModel.Xs_sym``), which is safe to build
-    twice; otherwise models are immutable and safe to share across workers,
-    and all evaluations are pure functions of (model, theta).
+    through which ``gradient`` reaches J^T r, and ``deviation_bounds``.
+    ``predictions``, ``jacobian``, ``pullback`` and ``per_sample_gradient``
+    check theta (shape (p,), finite, else ValueError); ``residual`` and the
+    rest rely on them. The only state a model gains after construction is a
+    lazily cached, deterministic array (``LowRankModel.Xs_sym``), which is
+    safe to build twice; otherwise models are immutable and safe to share
+    across workers, and all evaluations are pure functions of (model, theta).
     """
 
     n: int
@@ -165,8 +174,8 @@ class Model:
         raise NotImplementedError
 
     def residual(self, theta: Array) -> Array:
-        """f(theta) - y, componentwise."""
-        return self.predictions(_as_param(theta, self.p)) - self.y
+        """f(theta) - y, componentwise (``predictions`` validates theta)."""
+        return self.predictions(theta) - self.y
 
     def residuals(self, thetas: Array) -> Array:
         """Residuals of a stack of parameters: (m, p) -> (m, n), row by row.
@@ -178,7 +187,7 @@ class Model:
 
     def misfit(self, theta: Array) -> float:
         """Euclidean norm of the residual."""
-        return float(np.linalg.norm(self.residual(theta)))
+        return vector_norm(self.residual(theta))
 
     def loss(self, theta: Array) -> float:
         """0.5 * ||f(theta) - y||^2."""
@@ -294,8 +303,7 @@ class GLMModel(Model):
         return self.act.dphi(z)[:, None] * self.X
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
-        z_i = float(self.X[i] @ theta)
-        return float(self.act.dphi(np.asarray(z_i))) * self.X[i]
+        return self.act.dphi(self.X[i] @ theta) * self.X[i]
 
     def pullback(self, theta: Array, r: Array) -> Array:
         z = self.X @ _as_param(theta, self.p)

@@ -292,6 +292,42 @@ def test_run_pl_pipeline(tmp_path):
     assert "gradient-dominance check: pass" in (out / "summary.txt").read_text()
 
 
+def test_pl_summary_names_only_the_pl_step_size(tmp_path):
+    cfg = write(
+        tmp_path, "pl_glm.cfg",
+        "model.family = glm\nmodel.n = 20\nmodel.p = 60\n"
+        "optimizer.kind = pl\noptimizer.iters = 200\n",
+    )
+    out = tmp_path / "pl_glm_out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+    eta_lines = [line for line in (out / "summary.txt").read_text().splitlines()
+                 if line.startswith("eta=")]
+    assert len(eta_lines) == 1 and "(pl rule 1/(2 beta^2))" in eta_lines[0]
+    assert f"# eta={eta_lines[0].split()[0][len('eta='):]}" in (
+        out / "trajectory.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("kind, tunes", [("gd", 1), ("pl", 0)])
+def test_pl_on_lowrank_skips_the_gd_step_probe(tmp_path, monkeypatch, kind, tunes):
+    calls = []
+    tune = cli.auto_tune_lowrank_eta
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "auto_tune_lowrank_eta", spy)
+    cfg = write(
+        tmp_path, "lr.cfg",
+        "model.family = lowrank\nmodel.n = 6\nmodel.d = 12\nmodel.r = 2\n"
+        f"model.data_seed = 5\noptimizer.kind = {kind}\noptimizer.iters = 50\n"
+        "diag.probe_samples = 16\n",
+    )
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code in (EXIT_OK, EXIT_VIOLATION)
+    assert len(calls) == tunes
+
+
 def test_run_sgd_pipeline_with_anchors(tmp_path):
     cfg = write(tmp_path, "sgd.cfg", SGD_IDENTITY)
     out = tmp_path / "sgd_out"

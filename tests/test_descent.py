@@ -20,7 +20,7 @@ from overparam.descent import (
 )
 from overparam.models import GLMModel, LinearModel, tanh_linear
 from overparam.oracle import average_jacobian, enumerate_sgd_expectation, fd_gradient
-from overparam.potentials import AnchorSet
+from overparam.potentials import AnchorSet, build_packing
 
 from conftest import model_zoo
 
@@ -156,11 +156,15 @@ def _steady_config(model, theta, steps, **extra):
     return OptimConfig(eta=eta, max_iters=steps, **extra)
 
 
-def hand_rolled(model, theta0, cfg, direction):
-    """The two-pass loop: measure the misfit, then direction(tau, theta) from scratch."""
+def hand_rolled(model, theta0, cfg, direction, anchors=None, alpha=None):
+    """The two-pass loop: measure the misfit, then direction(tau, theta) from scratch.
+
+    Every norm is np.linalg.norm's; with anchors the sgd_potential column holds
+    12 * misfit + (alpha / K) * sum_l ||theta - p_l||.
+    """
     theta = theta0.copy()
     theta0_norm = float(np.linalg.norm(theta0))
-    misfit0 = model.misfit(theta0)
+    misfit0 = float(np.linalg.norm(model.residual(theta0)))
     path_len = step_norm = 0.0
     rows = []
     for tau in range(cfg.max_iters + 1):
@@ -169,10 +173,14 @@ def hand_rolled(model, theta0, cfg, direction):
             theta = theta - step
             step_norm = float(np.linalg.norm(step))
             path_len += step_norm
-        misfit = model.misfit(theta)
+        misfit = float(np.linalg.norm(model.residual(theta)))
         dist = float(np.linalg.norm(theta - theta0))
+        sgd = np.nan
+        if anchors is not None:
+            dists = np.linalg.norm(anchors.anchors - theta, axis=1)
+            sgd = 12.0 * misfit + (alpha / anchors.K) * float(dists.sum())
         rows.append((tau, 0.5 * misfit**2, misfit, dist, path_len, step_norm,
-                     misfit + cfg.potential_zeta * path_len, np.nan,
+                     misfit + cfg.potential_zeta * path_len, sgd,
                      misfit / misfit0, dist / theta0_norm))
     return dict(zip(COLUMNS, np.array(rows).T)), theta
 
@@ -241,10 +249,15 @@ def test_sgd_matches_two_pass_loop_bitwise(name, seed):
     model, theta = model_zoo(seed)[name]
     cfg = _steady_config(model, theta, 40, seed=seed, potential_zeta=0.5)
     indices = sgd_index_stream(seed, model.n, cfg.max_iters)
-    columns, theta_final = hand_rolled(
-        model, theta, cfg,
-        lambda tau, th: model.per_sample_gradient(th, int(indices[tau - 1])))
-    assert_same_run(run_sgd(model, theta, cfg), columns, theta_final)
+    packing = build_packing(theta, radius_Rp=2.0, epsilon=0.5, K=6, seed=seed)
+    for anchors in (None, packing):
+        columns, theta_final = hand_rolled(
+            model, theta, cfg,
+            lambda tau, th: model.per_sample_gradient(th, int(indices[tau - 1])),
+            anchors=anchors, alpha=0.3)
+        traj = run_sgd(model, theta, cfg, anchors=anchors, alpha=0.3)
+        assert np.isfinite(traj.sgd_potential).all() == (anchors is not None)
+        assert_same_run(traj, columns, theta_final)
 
 
 @pytest.mark.parametrize("name", ["linear", "glm"])

@@ -13,6 +13,7 @@ from overparam.models import (
     identity_activation,
     softplus_linear,
     tanh_linear,
+    vector_norm,
 )
 from overparam.oracle import average_jacobian, fd_jacobian
 
@@ -261,6 +262,51 @@ def test_residuals_reject_non_finite_rows(name, bad, row, col):
     thetas[row, col % model.p] = bad
     with pytest.raises(ValueError, match="non-finite"):
         model.residuals(thetas)
+
+
+PUBLIC_THETA_CALLS = {
+    "predictions": lambda m, th: m.predictions(th),
+    "residual": lambda m, th: m.residual(th),
+    "misfit": lambda m, th: m.misfit(th),
+    "loss": lambda m, th: m.loss(th),
+    "gradient": lambda m, th: m.gradient(th),
+    "gradient(r)": lambda m, th: m.gradient(th, np.ones(m.n)),
+    "per_sample_gradient": lambda m, th: m.per_sample_gradient(th, 0),
+    "per_sample_gradient(r)": lambda m, th: m.per_sample_gradient(th, 0, np.ones(m.n)),
+    "jacobian": lambda m, th: m.jacobian(th),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PUBLIC_THETA_CALLS))
+def test_public_methods_reject_bad_theta(family, call):
+    # theta is checked once, where a call enters the family; every entry point must reach it.
+    model, theta = model_zoo(0)[family]
+    PUBLIC_THETA_CALLS[call](model, theta)
+    for bad in (np.inf, -np.inf, np.nan):
+        broken = theta.copy()
+        broken[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PUBLIC_THETA_CALLS[call](model, broken)
+    for wrong in (theta[:-1], np.append(theta, 0.0), theta[None, :]):
+        with pytest.raises(ValueError, match="shape"):
+            PUBLIC_THETA_CALLS[call](model, wrong)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(st.integers(1, 500), st.sampled_from([1e-200, 1e-100, 1.0, 1e100, 1e200]), st.data())
+def test_vector_norm_is_numpy_norm_bitwise(n, scale, data):
+    elements = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+    v = data.draw(arrays(np.float64, n, elements=elements)) * scale
+    with np.errstate(over="ignore"):  # squares of 1e200 overflow to inf, as in numpy's norm
+        assert _bits(vector_norm(v)) == _bits(np.linalg.norm(v))
+        # A strided view (here a column) may sum in another order, so the norm
+        # is taken of a contiguous array; numpy's norm copies the view the same way.
+        column = np.stack([v, -v, 2.0 * v], axis=1)[:, 1]
+        assert _bits(vector_norm(np.ascontiguousarray(column))) == _bits(np.linalg.norm(column))
+        assert _bits(vector_norm(v[::2].copy())) == _bits(np.linalg.norm(v[::2]))
 
 
 @pytest.mark.parametrize("seed", range(3))
