@@ -327,7 +327,7 @@ def invert_activation(act: Activation, targets: Array, tol: float = 1e-12) -> Ar
     return 0.5 * (lo + hi)
 
 
-def closest_optimum_glm(model: GLMModel | LinearModel, theta0: Array) -> Array:
+def closest_optimum_glm(model: GLMModel, theta0: Array) -> Array:
     """Zero-residual parameter nearest to theta0, in closed form.
 
     Splits theta0 into its null-space component (kept) plus the row-space
@@ -337,10 +337,12 @@ def closest_optimum_glm(model: GLMModel | LinearModel, theta0: Array) -> Array:
     """
     theta0 = np.asarray(theta0, dtype=float)
     X = model.X
-    if isinstance(model, GLMModel):
-        z = invert_activation(model.act, model.y)
-    else:
+    # LinearModel is a GLMModel with phi = identity; z = y exactly, where the
+    # bisection of invert_activation would move theta* by about 1e-12.
+    if isinstance(model, LinearModel):
         z = model.y
+    else:
+        z = invert_activation(model.act, model.y)
     theta_dagger = pseudo_inverse_solution(X, z)
     null_part = theta0 - pseudo_inverse_solution(X, X @ theta0)
     theta_star = null_part + theta_dagger
@@ -350,7 +352,7 @@ def closest_optimum_glm(model: GLMModel | LinearModel, theta0: Array) -> Array:
     return theta_star
 
 
-def check_glm_theorem(traj: Trajectory, model: GLMModel | LinearModel,
+def check_glm_theorem(traj: Trajectory, model: GLMModel,
                       theta_star: Array) -> BoundReport:
     """Distance-to-optimum contraction and path-length cap for a GLM run.
 
@@ -363,10 +365,7 @@ def check_glm_theorem(traj: Trajectory, model: GLMModel | LinearModel,
         raise ValueError("check_glm_theorem needs record_thetas=True")
     theta_star = np.asarray(theta_star, dtype=float)
     X = model.X
-    if isinstance(model, GLMModel):
-        gamma, big_gamma = model.act.gamma, model.act.big_gamma
-    else:
-        gamma, big_gamma = 1.0, 1.0
+    gamma, big_gamma = model.act.gamma, model.act.big_gamma
     sv = np.linalg.svd(X, compute_uv=False)
     lam_min, lam_max = float(sv[-1] ** 2), float(sv[0] ** 2)
 

@@ -77,6 +77,8 @@ EXIT_INTERNAL = 4
 
 _PROBE_SEED_OFFSET = 1009
 _PACKING_SEED_OFFSET = 7717
+_TUNE_PROBE_ITERS = 10
+_TUNE_MAX_HALVINGS = 60
 
 Array = np.ndarray
 
@@ -163,23 +165,22 @@ def net_step_size(model: ShallowNetModel, theta0: Array) -> float:
     return base * min(1.0, cap)
 
 
-def lowrank_step_size(model: LowRankModel, theta0: Array, c1: float) -> float:
+def lowrank_step_size(model: LowRankModel, c1: float) -> float:
     """c1 * sqrt(n) / (r^2 d ||y||), the low-rank regression step size."""
     return c1 * math.sqrt(model.n) / (model.r**2 * model.d * float(np.linalg.norm(model.y)))
 
 
-def auto_tune_lowrank_eta(
-    model: LowRankModel, theta0: Array, probe_iters: int = 10, max_halvings: int = 60
-) -> tuple[float, float]:
-    """Backtrack c1 from 1, halving until the first probe_iters are loss-monotone.
+def auto_tune_lowrank_eta(model: LowRankModel, theta0: Array) -> tuple[float, float]:
+    """Backtrack c1 from 1, halving until _TUNE_PROBE_ITERS GD steps are loss-monotone.
 
-    Returns (eta, c1); the chosen c1 is reported in run summaries because the
-    step-size constant is otherwise unspecified.
+    Gives up after _TUNE_MAX_HALVINGS halvings. Returns (eta, c1); the chosen c1
+    is reported in run summaries because the step-size constant is otherwise
+    unspecified.
     """
     c1 = 1.0
-    for _ in range(max_halvings):
-        eta = lowrank_step_size(model, theta0, c1)
-        traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=probe_iters))
+    for _ in range(_TUNE_MAX_HALVINGS):
+        eta = lowrank_step_size(model, c1)
+        traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=_TUNE_PROBE_ITERS))
         losses = traj.loss
         monotone = bool(
             np.all(np.diff(losses) <= 1e-12 * np.maximum(losses[:-1], 1.0))
@@ -203,16 +204,18 @@ def resolve_eta(cfg: RunConfig, model: Model, theta0: Array,
     if cfg.optimizer == "sgd":
         plan = sgd_plan(bounds, model.misfit(theta0), nu=cfg.nu, regime=cfg.regime)
         return plan.eta, "sgd plan"
+    # LinearModel is a GLMModel, so its rule must come first; its X (identity
+    # or Gaussian) is non-zero.
+    if isinstance(model, LinearModel):
+        spec_norm = float(np.linalg.norm(model.X, 2))
+        return 1.0 / (2.0 * spec_norm**2), "linear rule 1/(2 ||X||^2)"
     if isinstance(model, GLMModel):
         return glm_step_size(model), "glm rule 1/(Gamma^2 ||X||^2)"
     if isinstance(model, ShallowNetModel):
         return net_step_size(model, theta0), "net rule"
-    if isinstance(model, LowRankModel):
-        eta, c1 = auto_tune_lowrank_eta(model, theta0)
-        return eta, f"lowrank rule, backtracked c1={c1:g}"
-    # Only the linear family is left, and its X (identity or Gaussian) is non-zero.
-    spec_norm = float(np.linalg.norm(model.X, 2))
-    return 1.0 / (2.0 * spec_norm**2), "linear rule 1/(2 ||X||^2)"
+    # Only the low-rank family is left.
+    eta, c1 = auto_tune_lowrank_eta(model, theta0)
+    return eta, f"lowrank rule, backtracked c1={c1:g}"
 
 
 def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: float) -> float:
@@ -293,7 +296,7 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             f"plan: radius_R={plan.radius_R:.10g} eta={plan.eta:.10g} "
             f"rate={plan.rate:.10g} zeta={plan.zeta:.10g} regime={plan.regime}"
         )
-        record_thetas = isinstance(model, (GLMModel, LinearModel))
+        record_thetas = isinstance(model, GLMModel)
         run_cfg = OptimConfig(
             eta=eta, max_iters=cfg.iters, tol_misfit=tol, record_every=cfg.record_every,
             record_thetas=record_thetas, potential_zeta=plan.zeta,
@@ -369,11 +372,9 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-def run_lowrank_experiment(
-    n: int, seed: int, iters: int = 200, d: int = 100, r: int = 4
-) -> tuple[Trajectory, float, float]:
+def run_lowrank_experiment(n: int, seed: int, iters: int = 200) -> tuple[Trajectory, float, float]:
     """One trajectory of the low-rank study; returns (trajectory, eta, c1)."""
-    model, theta0 = lowrank_instance(n, seed, d=d, r=r)
+    model, theta0 = lowrank_instance(n, seed)
     eta, c1 = auto_tune_lowrank_eta(model, theta0)
     traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters))
     return traj, eta, c1

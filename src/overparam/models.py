@@ -155,12 +155,13 @@ class Model:
     Subclasses implement ``predictions`` and ``jacobian``; everything else
     derives from those. Families with a closed form override ``pullback``,
     through which ``gradient`` reaches J^T r, and ``deviation_bounds``.
-    ``predictions``, ``jacobian``, ``pullback`` and ``per_sample_gradient``
-    check theta (shape (p,), finite, else ValueError); ``residual`` and the
-    rest rely on them. The only state a model gains after construction is a
-    lazily cached, deterministic array (``LowRankModel.Xs_sym``), which is
-    safe to build twice; otherwise models are immutable and safe to share
-    across workers, and all evaluations are pure functions of (model, theta).
+    ``predictions``, ``jacobian``, ``jacobian_row`` and ``pullback`` check
+    theta (shape (p,), finite, else ValueError); ``residual``,
+    ``per_sample_gradient`` and the rest rely on them. The only state a model
+    gains after construction is a lazily cached, deterministic array
+    (``LowRankModel.Xs_sym``), which is safe to build twice; otherwise models
+    are immutable and safe to share across workers, and all evaluations are
+    pure functions of (model, theta).
     """
 
     n: int
@@ -218,7 +219,6 @@ class Model:
         """
         if not 0 <= i < self.n:
             raise IndexError(f"sample index {i} out of range [0, {self.n})")
-        theta = _as_param(theta, self.p)
         r_i = float((self.residual(theta) if r is None else r)[i])
         return r_i * self.jacobian_row(theta, i)
 
@@ -245,40 +245,6 @@ class Model:
         return np.sqrt(np.maximum(total - 2.0 * G, 0.0) + slack)
 
 
-class LinearModel(Model):
-    """f(theta) = X theta; the Jacobian is X at every point."""
-
-    def __init__(self, X: Array, y: Array):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("X must be n x p with y of length n")
-        self.X = X
-        self.y = y
-        self.n, self.p = X.shape
-
-    def predictions(self, theta: Array) -> Array:
-        return self.X @ _as_param(theta, self.p)
-
-    def residuals(self, thetas: Array) -> Array:
-        return _as_params(thetas, self.p) @ self.X.T - self.y
-
-    def jacobian(self, theta: Array) -> Array:
-        _as_param(theta, self.p)
-        return self.X.copy()
-
-    def jacobian_row(self, theta: Array, i: int) -> Array:
-        return self.X[i].copy()
-
-    def pullback(self, theta: Array, r: Array) -> Array:
-        _as_param(theta, self.p)
-        return self.X.T @ r
-
-    def deviation_bounds(self, points: Sequence[Array]) -> Array:
-        """All zero: every Jacobian is a copy of X, so every difference is exactly 0."""
-        return np.zeros((len(points), len(points)))
-
-
 class GLMModel(Model):
     """f(theta) = phi(X theta) entrywise, for a strictly increasing phi."""
 
@@ -303,6 +269,7 @@ class GLMModel(Model):
         return self.act.dphi(z)[:, None] * self.X
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
+        theta = _as_param(theta, self.p)
         return self.act.dphi(self.X[i] @ theta) * self.X[i]
 
     def pullback(self, theta: Array, r: Array) -> Array:
@@ -329,6 +296,17 @@ class GLMModel(Model):
             sizes = np.where(delta != 0.0, np.abs(s) + np.abs(slopes), 0.0)
             out[i] = np.max(np.abs(delta), axis=1) * spec + np.max(sizes, axis=1) * frob_u
         return out * (1.0 + _rounding_allowance(self.n, self.p))
+
+
+class LinearModel(GLMModel):
+    """f(theta) = X theta: the GLM with phi = identity, so the Jacobian is X everywhere.
+
+    Every slope is exactly 1.0, so each value matches the linear formula bit
+    for bit and ``deviation_bounds`` comes out all zero.
+    """
+
+    def __init__(self, X: Array, y: Array):
+        super().__init__(X, y, identity_activation())
 
 
 class LowRankModel(Model):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,20 +15,6 @@ ENUMERATION_CAP = 10_000
 
 class CapacityError(RuntimeError):
     """A dense computation exceeds the configured desk-scale cap."""
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Comparison of a main-path value against its brute-force reference."""
-
-    quantity: str
-    main_value: float
-    oracle_value: float
-
-    @property
-    def relative_error(self) -> float:
-        a, b = self.main_value, self.oracle_value
-        return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
 def fd_jacobian(model: Model, theta: Array, h: float | None = None) -> Array:

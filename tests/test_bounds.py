@@ -216,6 +216,18 @@ def test_closest_optimum_keeps_null_component():
     assert_allclose(out, [2.0, 5.0], atol=1e-12)
 
 
+def test_closest_optimum_linear_skips_the_inverse(monkeypatch):
+    # LinearModel is a GLMModel; its labels are the targets as they stand.
+    def no_inverse(act, y):
+        raise AssertionError("invert_activation called on a linear model")
+
+    monkeypatch.setattr("overparam.bounds.invert_activation", no_inverse)
+    rng = np.random.default_rng(6)
+    model = LinearModel(rng.standard_normal((4, 9)), rng.standard_normal(4))
+    star = closest_optimum_glm(model, rng.standard_normal(9))
+    assert model.misfit(star) <= 1e-10 * (1 + np.linalg.norm(model.y))
+
+
 def test_closest_optimum_with_bisection_inverse():
     rng = np.random.default_rng(4)
     act = tanh_linear(0.3)

@@ -340,3 +340,20 @@ def test_run_sgd_pipeline_with_anchors(tmp_path):
 
     pack = load_packing(out / "anchors.txt")
     assert pack.K >= 2  # ceil(sqrt(2) * beta/alpha) anchors
+
+
+@pytest.mark.parametrize("kind, note", [("gd", "linear rule 1/(2 ||X||^2)"),
+                                        ("pl", "pl rule 1/L")])
+def test_linear_step_rules_come_before_the_glm_rule(kind, note):
+    # LinearModel is a GLMModel; the glm rule would give 1/||X||^2 instead.
+    cfg = parse_config_text(
+        f"model.family = linear\nmodel.n = 8\nmodel.p = 20\noptimizer.kind = {kind}\n"
+        "diag.probe_samples = 8\n"
+    )
+    model, theta0, _, bounds = cli.prepare(cfg)
+    eta, eta_note = cli.resolve_eta(cfg, model, theta0, bounds)
+    assert eta_note == note
+    if kind == "gd":
+        assert eta == 1.0 / (2.0 * np.linalg.norm(model.X, 2) ** 2)
+    else:
+        assert eta == 1.0 / bounds.beta**2

@@ -85,6 +85,17 @@ def test_probe_linear_exact():
     assert b.lipschitz_L <= 1e-10
 
 
+def test_probe_linear_visits_no_pair(monkeypatch):
+    # The GLM deviation bound is exactly 0 for the identity activation, so no
+    # pair can beat L = 0 and no eigensolve runs.
+    model, theta = model_zoo(3)["linear"]
+    solves = []
+    monkeypatch.setattr(geometry, "spectral_norm", lambda A: solves.append(A))
+    b = probe_spectrum(model, theta, 1.0, samples=16, seed=0)
+    assert b.lipschitz_L == 0.0
+    assert solves == []
+
+
 def test_probe_deterministic():
     m = GLMModel(np.random.default_rng(0).standard_normal((4, 6)),
                  np.zeros(4), tanh_linear(0.3))

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from overparam import models
 from overparam.models import (
     GLMModel,
     LinearModel,
@@ -329,10 +330,40 @@ def test_glm_identity_bit_identical_to_linear():
     y = rng.standard_normal(6)
     lin = LinearModel(X, y)
     glm = GLMModel(X, y, identity_activation())
+    thetas = np.random.default_rng(99).standard_normal((3, 10))
+    assert np.array_equal(lin.residuals(thetas), thetas @ X.T - y)
+    assert np.array_equal(lin.deviation_bounds(list(thetas)), np.zeros((3, 3)))
     for seed in range(5):
         theta = np.random.default_rng(seed).standard_normal(10)
+        r = X @ theta - y
         assert np.array_equal(lin.residual(theta), glm.residual(theta))
         assert np.array_equal(lin.jacobian(theta), glm.jacobian(theta))
+        # The linear formulas themselves, bit for bit: every identity slope is 1.0.
+        assert np.array_equal(lin.predictions(theta), X @ theta)
+        assert np.array_equal(lin.residual(theta), r)
+        assert np.array_equal(lin.jacobian(theta), X)
+        assert np.array_equal(lin.pullback(theta, r), X.T @ r)
+        assert np.array_equal(lin.gradient(theta), X.T @ r)
+        assert np.array_equal(lin.gradient(theta, r), X.T @ r)
+        for i in range(6):
+            assert np.array_equal(lin.jacobian_row(theta, i), X[i])
+            assert np.array_equal(lin.per_sample_gradient(theta, i), r[i] * X[i])
+            assert np.array_equal(lin.per_sample_gradient(theta, i, r), r[i] * X[i])
+
+
+def test_per_sample_gradient_checks_theta_once(family, monkeypatch):
+    model, theta = model_zoo(0)[family]
+    r = model.residual(theta)
+    checks = []
+    as_param = models._as_param
+
+    def spy(*args):
+        checks.append(args)
+        return as_param(*args)
+
+    monkeypatch.setattr(models, "_as_param", spy)
+    model.per_sample_gradient(theta, 1, r)
+    assert len(checks) == 1
 
 
 def test_net_single_unit_matches_glm():

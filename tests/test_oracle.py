@@ -13,15 +13,6 @@ from overparam.oracle import (
 )
 
 
-def test_oracle_report_relative_error():
-    from overparam.oracle import OracleReport
-
-    rep = OracleReport(quantity="loss", main_value=2.0, oracle_value=2.0 + 3e-9)
-    assert rep.relative_error == pytest.approx(1e-9)
-    zero = OracleReport(quantity="loss", main_value=0.0, oracle_value=0.0)
-    assert zero.relative_error == 0.0
-
-
 def test_fd_jacobian_linear():
     X = np.random.default_rng(0).standard_normal((3, 4))
     m = LinearModel(X, np.zeros(3))
