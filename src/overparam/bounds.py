@@ -140,7 +140,9 @@ def check_gd_theorem(
         )
 
     if theta_star is not None:
-        d_star = float(np.linalg.norm(np.asarray(theta_star) - _start_theta(traj)))
+        if traj.thetas is None:
+            raise ValueError("trajectory was not recorded with record_thetas=True")
+        d_star = float(np.linalg.norm(np.asarray(theta_star) - traj.thetas[0]))
         ratio_bound = bounds.beta / plan.zeta * d_star
         report.add(
             "closest_optimum_distance_ratio", "gd",
@@ -151,12 +153,6 @@ def check_gd_theorem(
             float(traj.path_len[-1] - ratio_bound), INEQUALITY_RTOL * (1.0 + ratio_bound),
         )
     return report
-
-
-def _start_theta(traj: Trajectory) -> Array:
-    if traj.thetas is None:
-        raise ValueError("trajectory was not recorded with record_thetas=True")
-    return traj.thetas[0]
 
 
 def check_lower_bound(traj: Trajectory, beta: float) -> BoundReport:
@@ -298,54 +294,40 @@ def check_sgd_theorem(
 # Closest-optimum machinery for (generalized) linear models
 # ---------------------------------------------------------------------------
 
-def invert_activation(act: Activation, targets: Array, tol: float = 1e-12) -> Array:
-    """Solve phi(z) = t per entry by bisection on a geometrically grown bracket.
+def invert_activation(act: Activation, targets: Array) -> Array:
+    """Solve phi(z) = t per entry by bisection inside the certified slope bracket.
 
-    Strict monotonicity (gamma > 0) guarantees a unique root for every real
-    target; the bracket starts at [-1, 1] and doubles until it straddles.
+    gamma <= phi' <= Gamma puts the root between (t - phi(0)) / Gamma and
+    (t - phi(0)) / gamma; bisection runs until no midpoint moves, so the
+    identity returns t bit for bit. Needs gamma > 0 and finite targets whose
+    bracket lies within a quarter of the float64 range, where no sum overflows.
     """
     targets = np.asarray(targets, dtype=float)
-    lo = np.full(targets.shape, -1.0)
-    hi = np.full(targets.shape, 1.0)
-    for _ in range(200):
-        need = act.phi(hi) < targets
-        if not np.any(need):
-            break
-        hi[need] *= 2.0
-    for _ in range(200):
-        need = act.phi(lo) > targets
-        if not np.any(need):
-            break
-        lo[need] *= 2.0
-    if np.any(act.phi(hi) < targets) or np.any(act.phi(lo) > targets):
-        raise ValueError("could not bracket the activation inverse")
-    while np.max(hi - lo) > tol:
+    shift = targets - act.phi(np.zeros_like(targets))
+    reach = 0.25 * act.gamma * float(np.finfo(float).max)
+    if not (act.gamma > 0.0 and np.all(np.abs(shift) <= reach)):
+        raise ValueError(f"activation inverse needs gamma > 0 (got {act.gamma}) and finite "
+                         "targets within a quarter of the float64 range")
+    lo, hi = np.sort([shift / act.big_gamma, shift / act.gamma], axis=0)
+    while True:
         mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return mid
         high_side = act.phi(mid) > targets
         hi = np.where(high_side, mid, hi)
         lo = np.where(high_side, lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def closest_optimum_glm(model: GLMModel, theta0: Array) -> Array:
     """Zero-residual parameter nearest to theta0, in closed form.
 
-    Splits theta0 into its null-space component (kept) plus the row-space
-    solution X^T (X X^T)^{-1} phi^{-1}(y). Verified to interpolate the labels
-    before returning. A rank-deficient X raises numpy's LinAlgError, a
-    ValueError.
+    theta0 plus the minimum-norm solution d of X d = phi^{-1}(y) - X theta0.
+    Verified to interpolate the labels before returning. A rank-deficient X
+    raises numpy's LinAlgError, a ValueError.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    X = model.X
-    # LinearModel is a GLMModel with phi = identity; z = y exactly, where the
-    # bisection of invert_activation would move theta* by about 1e-12.
-    if isinstance(model, LinearModel):
-        z = model.y
-    else:
-        z = invert_activation(model.act, model.y)
-    theta_dagger = pseudo_inverse_solution(X, z)
-    null_part = theta0 - pseudo_inverse_solution(X, X @ theta0)
-    theta_star = null_part + theta_dagger
+    z = invert_activation(model.act, model.y)
+    theta_star = theta0 + pseudo_inverse_solution(model.X, z - model.X @ theta0)
     resid = model.misfit(theta_star)
     if resid > 1e-8 * (1.0 + float(np.linalg.norm(model.y))):
         raise ValueError(f"closest-optimum candidate keeps residual {resid}")

@@ -425,7 +425,7 @@ def cmd_verify(args) -> int:
     cfg = _load_with_overrides(args)
     model, theta0, misfit0, bounds = prepare(cfg)
     assumptions = verify_assumptions(
-        model, bounds, regime=cfg.regime, lam=cfg.lam,
+        model, bounds, lam=cfg.lam,
         samples=max(8, cfg.probe_samples // 2),
         seed=cfg.data_seed + _PROBE_SEED_OFFSET + 1,
     )

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
+from .geometry import probe_points
 from .models import Model, vector_norm
 
 Array = np.ndarray
@@ -422,15 +423,11 @@ def local_pl_check(
     seed: int = 0,
 ) -> PLCheckReport:
     """Evaluate ||grad L||^2 - 2 mu L at the center and sampled ball points."""
-    from .geometry import sample_ball
-
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    center = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(seed)
-    points = np.vstack([center[None, :], sample_ball(center, radius, samples, rng)])
+    points = probe_points(center, radius, samples, seed)
     min_slack = math.inf
-    worst = center
+    worst = points[0]
     for pt in points:
         g = np.asarray(loss_fn.grad(pt), dtype=float)
         slack = float(g @ g) - 2.0 * mu * float(loss_fn.value(pt))

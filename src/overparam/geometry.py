@@ -80,6 +80,13 @@ def sample_ball(center: Array, radius: float, samples: int, rng: np.random.Gener
     return center[None, :] + (g / norms) * radii
 
 
+def probe_points(center: Array, radius: float, samples: int, seed: int) -> Array:
+    """The center followed by `samples` uniform ball points drawn from `seed`."""
+    center = np.asarray(center, dtype=float)
+    ball = sample_ball(center, radius, samples, np.random.default_rng(seed))
+    return np.vstack([center[None, :], ball])
+
+
 def check_capacity(model: Model) -> None:
     """Refuse a model whose dense n x p Jacobian exceeds DENSE_SVD_ENTRY_CAP."""
     if model.n * model.p > DENSE_SVD_ENTRY_CAP:
@@ -130,11 +137,9 @@ def probe_spectrum(
         raise ValueError(f"samples must be >= 1, got {samples}")
     check_capacity(model)
     center = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(seed)
-    points = [center]
-    points.extend(sample_ball(center, radius, samples, rng))
+    points = probe_points(center, radius, samples, seed)
     if trajectory_points is not None:
-        points.extend(np.asarray(trajectory_points, dtype=float))
+        points = np.vstack([points, trajectory_points])
 
     sigma_min = np.inf
     sigma_max = 0.0
@@ -290,7 +295,6 @@ class AssumptionReport:
 def verify_assumptions(
     model: Model,
     bounds: SpectrumBounds,
-    regime: str = "bounded",
     lam: float = 0.5,
     samples: int = 32,
     seed: int = 1,
@@ -305,9 +309,7 @@ def verify_assumptions(
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     check_capacity(model)
-    rng = np.random.default_rng(seed)
-    points = [np.asarray(bounds.center, dtype=float)]
-    points.extend(sample_ball(points[0], bounds.radius, samples, rng))
+    points = probe_points(bounds.center, bounds.radius, samples, seed)
     jacobians = [model.jacobian(pt) for pt in points]
 
     limit = (1.0 - lam) * bounds.alpha**2 / bounds.beta

@@ -230,15 +230,13 @@ class Model:
         default is the Frobenius norm of the difference from the Gram G of the
         flattened Jacobians, sqrt(g_i + g_j - 2 G_ij), with 2 rho (g_i + g_j)
         added under the root for the cancellation (rho from
-        ``_rounding_allowance``). It holds all m Jacobians at once; families
-        with a closed form override it without building any.
+        ``_rounding_allowance``). G = F F^T holds all m flattened Jacobians in
+        one (m, n p) array F; closed-form families override it and build none.
         """
-        jacobians = [self.jacobian(pt) for pt in points]
-        m = len(jacobians)
-        G = np.empty((m, m))
-        for i, J in enumerate(jacobians):
-            for j in range(i, m):
-                G[i, j] = G[j, i] = np.vdot(J, jacobians[j])
+        F = np.empty((len(points), self.n * self.p))
+        for row, pt in zip(F, points):
+            row[:] = self.jacobian(pt).ravel()
+        G = F @ F.T
         g = np.diag(G)
         total = g[:, None] + g[None, :]
         slack = 2.0 * _rounding_allowance(self.n, self.p) * total

@@ -116,8 +116,6 @@ def build_packing(
     Deterministic under the seed. Raises PackingInfeasibleError (reporting
     the achieved count) when max_attempts draws are exhausted.
     """
-    from .geometry import sample_ball
-
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if K < 1:
@@ -131,7 +129,7 @@ def build_packing(
     batch = max(64, K)
     while len(accepted) < K and attempts < max_attempts:
         take = min(batch, max_attempts - attempts)
-        candidates = sample_ball(center, radius_Rp, take, rng)
+        candidates = geometry.sample_ball(center, radius_Rp, take, rng)
         attempts += take
         for cand in candidates:
             gaps = np.linalg.norm(np.asarray(accepted) - cand[None, :], axis=1)

@@ -195,8 +195,7 @@ def test_criterion_05_gd_potential_monotone():
     mis0 = glm.misfit(th0)
     sv = np.linalg.svd(glm.jacobian(th0), compute_uv=False)
     bounds = probe_spectrum(glm, th0, 4 * mis0 / sv[-1], samples=32, seed=2)
-    assumptions = verify_assumptions(glm, bounds, regime="bounded", lam=0.5,
-                                     samples=24, seed=3)
+    assumptions = verify_assumptions(glm, bounds, lam=0.5, samples=24, seed=3)
     assert assumptions.bounded_ok, "bounded-deviation must hold for this instance"
     plan = gd_plan(bounds, mis0, "bounded", 0.5)
     traj = run_gd(glm, th0, OptimConfig(eta=plan.eta, max_iters=1500))
@@ -213,8 +212,7 @@ def test_criterion_05_gd_potential_monotone():
     misl = low.misfit(thl)
     svl = np.linalg.svd(low.jacobian(thl), compute_uv=False)
     lbounds = probe_spectrum(low, thl, 4 * misl / svl[-1], samples=32, seed=8)
-    lassume = verify_assumptions(low, lbounds, regime="smooth", lam=0.5,
-                                 samples=24, seed=9)
+    lassume = verify_assumptions(low, lbounds, lam=0.5, samples=24, seed=9)
     assert lassume.smooth_ok, "smooth-deviation must hold for this instance"
     lplan = gd_plan(lbounds, misl, "smooth", 0.5)
     ltraj = run_gd(low, thl, OptimConfig(eta=lplan.eta, max_iters=1500))

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from overparam.bounds import (
 )
 from overparam.descent import GeneralLoss, OptimConfig, run_gd, run_pl_gd, run_sgd
 from overparam.geometry import gd_plan, probe_spectrum, sgd_plan
-from overparam.models import GLMModel, LinearModel, identity_activation, tanh_linear
+from overparam.models import (
+    GLMModel,
+    LinearModel,
+    identity_activation,
+    softplus_linear,
+    tanh_linear,
+)
+from overparam.oracle import pseudo_inverse_solution
 
 
 def probed(model, theta0, radius_scale=4.0, samples=24, seed=0):
@@ -216,16 +224,33 @@ def test_closest_optimum_keeps_null_component():
     assert_allclose(out, [2.0, 5.0], atol=1e-12)
 
 
-def test_closest_optimum_linear_skips_the_inverse(monkeypatch):
-    # LinearModel is a GLMModel; its labels are the targets as they stand.
-    def no_inverse(act, y):
-        raise AssertionError("invert_activation called on a linear model")
-
-    monkeypatch.setattr("overparam.bounds.invert_activation", no_inverse)
+def test_identity_inverse_is_exact_and_linear_optimum_interpolates():
     rng = np.random.default_rng(6)
+    y = np.concatenate([rng.standard_normal(6) * 10.0 ** rng.integers(-8, 8, 6),
+                        [0.0, -0.0, 1e300, -5e-324]])
+    back = invert_activation(identity_activation(), y)
+    assert back.tobytes() == y.tobytes()
     model = LinearModel(rng.standard_normal((4, 9)), rng.standard_normal(4))
     star = closest_optimum_glm(model, rng.standard_normal(9))
     assert model.misfit(star) <= 1e-10 * (1 + np.linalg.norm(model.y))
+
+
+def two_solve_optimum(model, theta0):
+    # theta0's null-space component plus the row-space solution for phi^{-1}(y)
+    z = invert_activation(model.act, model.y)
+    null_part = theta0 - pseudo_inverse_solution(model.X, model.X @ theta0)
+    return null_part + pseudo_inverse_solution(model.X, z)
+
+
+@pytest.mark.parametrize("act", [tanh_linear(0.3), softplus_linear(0.5), identity_activation()],
+                         ids=lambda act: act.name)
+def test_closest_optimum_matches_two_solve_formula(act):
+    rng = np.random.default_rng(8)
+    model = GLMModel(rng.standard_normal((6, 15)), rng.standard_normal(6), act)
+    theta0 = rng.standard_normal(15)
+    star = closest_optimum_glm(model, theta0)
+    old = two_solve_optimum(model, theta0)
+    assert np.max(np.abs(star - old)) <= 1e-12 * np.linalg.norm(old)
 
 
 def test_closest_optimum_with_bisection_inverse():
@@ -242,6 +267,37 @@ def test_invert_activation_roundtrip():
     z = np.linspace(-6, 6, 25)
     back = invert_activation(act, act.phi(z))
     assert_allclose(back, z, atol=1e-11)
+
+
+def test_invert_softplus_roundtrip_around_phi_of_zero():
+    # targets below, at and above phi(0)
+    act = softplus_linear(0.5)
+    z = np.array([-30.0, -3.0, -1e-9, 0.0, 1e-9, 3.0, 30.0])
+    back = invert_activation(act, act.phi(z))
+    assert back[3] == 0.0
+    assert_allclose(back, z, rtol=0.0, atol=1e-14)
+
+
+def test_invert_activation_returns_at_large_targets():
+    # the float64 spacing at z ~ 1e4 is ~2e-12, wider than any fixed tolerance
+    act = tanh_linear(0.3)
+    targets = np.array([1e4, -1e4, 2e307, -2e307])
+    back = invert_activation(act, targets)
+    assert_allclose(act.phi(back), targets, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308, -1e308])
+def test_invert_activation_rejects_targets_out_of_range(bad):
+    # softplus_linear(0.1) inverts 1e308 to about 1e309, beyond float64
+    for act in (tanh_linear(0.3), softplus_linear(0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            invert_activation(act, np.array([0.5, bad]))
+
+
+def test_invert_activation_rejects_non_increasing_activation():
+    flat = replace(identity_activation(), gamma=0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        invert_activation(flat, np.array([1.0]))
 
 
 @pytest.mark.parametrize("seed", range(3))

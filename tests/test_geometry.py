@@ -9,6 +9,7 @@ from overparam.geometry import (
     CertificationError,
     SpectrumBounds,
     gd_plan,
+    probe_points,
     probe_spectrum,
     sample_ball,
     sgd_plan,
@@ -75,6 +76,15 @@ def test_spectral_norm_matches_dense_svd(short, extra, shape, kind, log_scale, s
 # ---------------------------------------------------------------------------
 # probe_spectrum
 # ---------------------------------------------------------------------------
+
+def test_probe_points_are_the_center_then_seeded_ball_draws():
+    center = np.arange(5)
+    points = probe_points(center, 2.0, 7, seed=3)
+    assert points.shape == (8, 5) and points.dtype == float
+    assert np.array_equal(points[0], center)
+    assert np.array_equal(points[1:], sample_ball(center.astype(float), 2.0, 7,
+                                                  np.random.default_rng(3)))
+
 
 def test_probe_linear_exact():
     m = LinearModel(np.diag([1.0, 2.0]), np.zeros(2))
@@ -342,7 +352,7 @@ def test_verify_capacity_refused_before_any_jacobian(monkeypatch):
 def test_verify_linear_bounded_holds():
     m = LinearModel(np.diag([1.0, 2.0]), np.zeros(2))
     b = probe_spectrum(m, np.zeros(2), 3.0, samples=8, seed=0)
-    rep = verify_assumptions(m, b, regime="bounded", lam=0.5, samples=8, seed=1)
+    rep = verify_assumptions(m, b, lam=0.5, samples=8, seed=1)
     assert rep.bounded_ok and rep.smooth_ok
     assert rep.max_deviation == 0.0
     assert "empirical" in rep.note
