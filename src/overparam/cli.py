@@ -18,17 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .config import (
-    ConfigError,
-    RunConfig,
-    anchor_count_value,
-    apply_overrides,
-    config_to_text,
-    eta_value,
-    load_config,
-    probe_radius_value,
-    tol_value,
-)
+from .config import ConfigError, RunConfig, apply_overrides, config_to_text, load_config
 from .descent import (
     GeneralLoss,
     OptimConfig,
@@ -194,9 +184,8 @@ def auto_tune_lowrank_eta(model: LowRankModel, theta0: Array) -> tuple[float, fl
 def resolve_eta(cfg: RunConfig, model: Model, theta0: Array,
                 bounds: SpectrumBounds) -> tuple[float, str]:
     """Step size from the config, or the optimizer's or family's rule when set to auto."""
-    explicit = eta_value(cfg)
-    if explicit is not None:
-        return explicit, "explicit"
+    if cfg.eta is not None:
+        return cfg.eta, "explicit"
     if cfg.optimizer == "pl":
         if isinstance(model, LinearModel):
             return 1.0 / bounds.beta**2, "pl rule 1/L"
@@ -220,9 +209,8 @@ def resolve_eta(cfg: RunConfig, model: Model, theta0: Array,
 
 def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: float) -> float:
     """Default probe ball: the plan radius scale 4 (or nu) * misfit0 / alpha(theta0)."""
-    explicit = probe_radius_value(cfg)
-    if explicit is not None:
-        return explicit
+    if cfg.probe_radius is not None:
+        return cfg.probe_radius
     sv = np.linalg.svd(model.jacobian(theta0), compute_uv=False)
     alpha0 = float(sv[-1])
     scale = cfg.nu if cfg.optimizer == "sgd" else 4.0
@@ -247,7 +235,7 @@ def prepare(cfg: RunConfig) -> tuple[Model, Array, float, SpectrumBounds]:
 def anchor_packing(cfg: RunConfig, model: Model, theta0: Array, misfit0: float,
                    bounds: SpectrumBounds) -> AnchorSet:
     """The anchor packing around theta0, sized from the probed alpha and beta."""
-    K = anchor_count_value(cfg)
+    K = cfg.anchor_count
     if K is None:
         K = default_anchor_count(model.n, bounds.beta, bounds.alpha)
     return build_packing(
@@ -266,9 +254,7 @@ def anchor_packing(cfg: RunConfig, model: Model, theta0: Array, misfit0: float,
 
 def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     model, theta0, misfit0, bounds = prepare(cfg)
-    tol = tol_value(cfg)
-    if tol is None:
-        tol = default_tolerance(model.y)
+    tol = default_tolerance(model.y) if cfg.tol is None else cfg.tol
     eta, eta_note = resolve_eta(cfg, model, theta0, bounds)
 
     summary: list[str] = []
@@ -315,6 +301,11 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             report.extend(bnd.check_glm_theorem(traj, model, theta_star))
     elif opt == "sgd":
         plan = sgd_plan(bounds, misfit0, nu=cfg.nu, regime=cfg.regime, eta=eta)
+        if eta > plan.eta:
+            summary.append(
+                f"warning: run step size {eta:.6g} exceeds the certified cap "
+                f"{plan.eta:.6g}; the plan below is the certified one, not this run's"
+            )
         summary.append(
             f"plan: radius_R={plan.radius_R:.10g} eta={plan.eta:.10g} "
             f"rate={plan.rate:.10g} nu={plan.nu:g} fail_prob={plan.fail_prob:.10g}"
@@ -507,7 +498,7 @@ def cmd_sgd_martingale(args) -> int:
     if cfg.optimizer != "sgd":
         raise ConfigError("sgd-martingale needs optimizer.kind = sgd")
     model, theta0, misfit0, bounds = prepare(cfg)
-    plan = sgd_plan(bounds, misfit0, nu=cfg.nu, regime=cfg.regime, eta=eta_value(cfg))
+    plan = sgd_plan(bounds, misfit0, nu=cfg.nu, regime=cfg.regime, eta=cfg.eta)
     anchors = anchor_packing(cfg, model, theta0, misfit0, bounds)
     run_cfg = OptimConfig(
         eta=plan.eta, max_iters=cfg.iters, seed=cfg.opt_seed, record_thetas=True,
@@ -539,6 +530,9 @@ def cmd_sgd_martingale(args) -> int:
         f"checked {checked}/{len(traj.iters)} states inside the half ball; "
         f"max potential drift {worst:.17g} (tolerance 1e-12)\n"
     )
+    if cfg.eta is not None and cfg.eta > plan.eta:
+        text += (f"requested step size {cfg.eta:.17g} exceeds the certified cap; "
+                 f"ran at the cap {plan.eta:.17g}\n")
     (out / "martingale_summary.txt").write_text(text, encoding="utf-8")
     if not args.quiet:
         sys.stdout.write(text)

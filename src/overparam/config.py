@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
@@ -18,8 +19,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """One experiment: model family and sizes, optimizer, diagnostics, output.
 
-    String-typed numeric fields accept the literal "auto"; seeds for data
-    generation and for the optimizer are independent knobs.
+    eta, tol, probe_radius and anchor_count hold None for the literal "auto"
+    (the paper's rule); seeds for data generation and for the optimizer are
+    independent knobs.
     """
 
     family: str = "linear"
@@ -34,45 +36,49 @@ class RunConfig:
     data_seed: int = 0
 
     optimizer: str = "gd"
-    eta: str = "auto"
+    eta: float | None = None
     iters: int = 200
-    tol: str = "auto"
+    tol: float | None = None
     opt_seed: int = 0
     record_every: int = 1
 
     probe_samples: int = 64
-    probe_radius: str = "auto"
+    probe_radius: float | None = None
     nu: float = 8.0
     lam: float = 0.5
     regime: str = "bounded"
-    anchor_count: str = "auto"
+    anchor_count: int | None = None
     anchors: bool = False
 
     out_dir: str = ""
 
     def __post_init__(self):
-        # normalize auto-or-number fields to their canonical string form
-        for name in ("eta", "tol", "probe_radius", "anchor_count"):
-            value = getattr(self, name)
-            if isinstance(value, float):
-                object.__setattr__(self, name, f"{value:.17g}")
-            elif isinstance(value, int) and not isinstance(value, bool):
-                object.__setattr__(self, name, str(value))
-        if self.family not in MODEL_FAMILIES:
-            raise ConfigError(f"model.family must be one of {MODEL_FAMILIES}, got {self.family!r}")
-        if self.optimizer not in OPTIMIZER_KINDS:
-            raise ConfigError(
-                f"optimizer.kind must be one of {OPTIMIZER_KINDS}, got {self.optimizer!r}"
-            )
-        if self.regime not in REGIMES:
-            raise ConfigError(f"diag.regime must be one of {REGIMES}, got {self.regime!r}")
-        for name in ("eta", "tol", "probe_radius"):
-            _parse_auto_float(getattr(self, name), name)
-        _parse_auto_int(self.anchor_count, "anchor_count")
-        if self.iters < 1:
-            raise ConfigError(f"optimizer.iters must be >= 1, got {self.iters}")
-        if not 0.0 < self.lam <= 1.0:
-            raise ConfigError(f"diag.lambda must lie in (0, 1], got {self.lam}")
+        checks = (
+            ("family", self.family in MODEL_FAMILIES, f"one of {MODEL_FAMILIES}"),
+            ("optimizer", self.optimizer in OPTIMIZER_KINDS, f"one of {OPTIMIZER_KINDS}"),
+            ("regime", self.regime in REGIMES, f"one of {REGIMES}"),
+            ("iters", self.iters >= 1, ">= 1"),
+            ("record_every", self.record_every >= 1, ">= 1"),
+            ("probe_samples", self.probe_samples >= 1, ">= 1"),
+            ("lam", 0.0 < self.lam <= 1.0, "in (0, 1]"),
+            ("eta", _auto_or(self.eta, float), "a finite number > 0 or 'auto'"),
+            ("tol", _auto_or(self.tol, float, zero_ok=True), "a finite number >= 0 or 'auto'"),
+            ("probe_radius", _auto_or(self.probe_radius, float), "a finite number > 0 or 'auto'"),
+            ("anchor_count", _auto_or(self.anchor_count, int), "an integer >= 1 or 'auto'"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be {rule}, got {value!r}")
+
+
+def _auto_or(value: Any, typ: type, zero_ok: bool = False) -> bool:
+    """None ("auto"), or a finite `typ` (ints count as floats) > 0, or >= 0 with zero_ok."""
+    kinds = (int, float) if typ is float else int
+    return value is None or (
+        isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value)
+        and (value >= 0 if zero_ok else value > 0)
+    )
 
 
 # file key -> (dataclass field, python type)
@@ -88,59 +94,41 @@ _KEYS: dict[str, tuple[str, type]] = {
     "model.identity": ("identity_X", bool),
     "model.data_seed": ("data_seed", int),
     "optimizer.kind": ("optimizer", str),
-    "optimizer.eta": ("eta", str),
+    "optimizer.eta": ("eta", float),
     "optimizer.iters": ("iters", int),
-    "optimizer.tol": ("tol", str),
+    "optimizer.tol": ("tol", float),
     "optimizer.seed": ("opt_seed", int),
     "optimizer.record_every": ("record_every", int),
     "diag.probe_samples": ("probe_samples", int),
-    "diag.probe_radius": ("probe_radius", str),
+    "diag.probe_radius": ("probe_radius", float),
     "diag.nu": ("nu", float),
     "diag.lambda": ("lam", float),
     "diag.regime": ("regime", str),
-    "diag.anchor_count": ("anchor_count", str),
+    "diag.anchor_count": ("anchor_count", int),
     "diag.anchors": ("anchors", bool),
     "output.dir": ("out_dir", str),
 }
 _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
-
-
-def _parse_auto_float(text: str, name: str) -> float | None:
-    if text == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a number or 'auto', got {text!r}") from exc
-
-
-def _parse_auto_int(text: str, name: str) -> int | None:
-    if text == "auto":
-        return None
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer or 'auto', got {text!r}") from exc
+_AUTO_FIELDS = ("eta", "tol", "probe_radius", "anchor_count")
 
 
 def _coerce(key: str, raw: str) -> Any:
     field_name, typ = _KEYS[key]
+    auto = field_name in _AUTO_FIELDS
+    if auto and raw == "auto":
+        return None
     if typ is bool:
         if raw in ("on", "true", "1", "yes"):
             return True
         if raw in ("off", "false", "0", "no"):
             return False
         raise ConfigError(f"{key} must be on/off, got {raw!r}")
-    if typ is int:
+    if typ in (int, float):
         try:
-            return int(raw)
+            return typ(raw)
         except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-    if typ is float:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+            kind = ("an integer" if typ is int else "a number") + (" or 'auto'" if auto else "")
+            raise ConfigError(f"{key} must be {kind}, got {raw!r}") from exc
     return raw
 
 
@@ -176,9 +164,11 @@ def config_to_text(cfg: RunConfig) -> str:
     for f in fields(cfg):
         key = _FIELD_TO_KEY[f.name]
         value = getattr(cfg, f.name)
-        if isinstance(value, bool):
+        if value is None:
+            text = "auto"
+        elif isinstance(value, bool):
             text = "on" if value else "off"
-        elif isinstance(value, float):
+        elif _KEYS[key][1] is float:
             text = f"{value:.17g}"
         else:
             text = str(value)
@@ -200,19 +190,3 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
         field_name, _ = _KEYS[key]
         updates[field_name] = _coerce(key, raw)
     return replace(cfg, **updates)
-
-
-def eta_value(cfg: RunConfig) -> float | None:
-    return _parse_auto_float(cfg.eta, "optimizer.eta")
-
-
-def tol_value(cfg: RunConfig) -> float | None:
-    return _parse_auto_float(cfg.tol, "optimizer.tol")
-
-
-def probe_radius_value(cfg: RunConfig) -> float | None:
-    return _parse_auto_float(cfg.probe_radius, "diag.probe_radius")
-
-
-def anchor_count_value(cfg: RunConfig) -> int | None:
-    return _parse_auto_int(cfg.anchor_count, "diag.anchor_count")

@@ -144,8 +144,10 @@ def probe_spectrum(
     sigma_min = np.inf
     sigma_max = 0.0
     row_bound = 0.0
-    for pt in points:
+    for idx, pt in enumerate(points):
         J = model.jacobian(pt)
+        if idx == 0:
+            center_jacobian = J
         sv = np.linalg.svd(J, compute_uv=False)
         sigma_min = min(sigma_min, float(sv[-1]))
         sigma_max = max(sigma_max, float(sv[0]))
@@ -162,7 +164,6 @@ def probe_spectrum(
     gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
     keys = np.array([bound[i, j] / gap if gap > 0.0 else -np.inf
                      for (i, j), gap in zip(pairs, gaps)])
-    center_jacobian = model.jacobian(center)
     lipschitz = 0.0
     for k in np.argsort(-keys, kind="stable"):
         if keys[k] <= lipschitz:

@@ -17,7 +17,7 @@ from overparam.cli import (
 from overparam.config import parse_config_text
 from overparam.descent import Trajectory
 from overparam.geometry import probe_spectrum
-from overparam.models import LinearModel
+from overparam.models import GLMModel, LinearModel
 
 IDENTITY_LINEAR = """\
 model.family = linear
@@ -142,6 +142,52 @@ def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
     )
     assert main([command, "--config", cfg, "--quiet",
                  "--out", str(tmp_path / "cap")]) == EXIT_CAPACITY
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
+@pytest.mark.parametrize("override", [
+    "optimizer.record_every=0", "diag.probe_samples=0", "optimizer.eta=nan",
+    "optimizer.eta=inf", "optimizer.eta=0", "optimizer.tol=-1e-9", "optimizer.tol=inf",
+    "diag.probe_radius=0", "diag.probe_radius=nan", "diag.anchor_count=0",
+])
+def test_out_of_range_values_refused_before_any_jacobian(tmp_path, monkeypatch, capsys,
+                                                         command, override):
+    def no_jacobian(self, theta):
+        raise AssertionError("Jacobian formed before the config was checked")
+
+    monkeypatch.setattr(GLMModel, "jacobian", no_jacobian)
+    cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
+    code = main([command, "--config", cfg, override, "--quiet",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + override.split("=")[0] + " must be ")
+
+
+def test_auto_overrides_an_explicit_number(tmp_path):
+    cfg = write(tmp_path, "glm.cfg", GLM_RUN.replace("eta = auto", "eta = 0.5"))
+    parser = cli.build_parser()
+    assert cli._load_with_overrides(parser.parse_args(["run", "--config", cfg])).eta == 0.5
+    for extra in (["--eta", "auto"], ["optimizer.eta=auto"]):
+        args = parser.parse_args(["run", "--config", cfg, *extra])
+        assert cli._load_with_overrides(args).eta is None
+
+
+def test_sgd_step_size_above_the_cap_is_reported(tmp_path):
+    cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd")
+                .replace("eta = auto", "eta = 0.5").replace("iters = 2000", "iters = 50"))
+    run_out, mart_out = tmp_path / "run", tmp_path / "mart"
+    assert main(["run", "--config", cfg, "--out", str(run_out), "--quiet"]) == EXIT_OK
+    summary = (run_out / "summary.txt").read_text()
+    assert "warning: run step size 0.5 exceeds the certified cap " in summary
+    cap = float(summary.split("plan: ")[1].split()[1][len("eta="):])
+    assert f"certified cap {cap:.6g};" in summary
+    main(["sgd-martingale", "--config", cfg, "--out", str(mart_out), "--quiet"])
+    lines = (mart_out / "martingale_summary.txt").read_text().splitlines()
+    assert lines[0].startswith("checked ") and len(lines) == 2
+    assert lines[1].startswith(
+        "requested step size 0.5 exceeds the certified cap; ran at the cap ")
+    assert float(lines[1].rsplit(" ", 1)[1]) == pytest.approx(cap, rel=1e-9)
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -175,11 +175,12 @@ def test_probe_eigensolves_only_pairs_that_can_win(monkeypatch):
 def test_glm_probe_holds_few_jacobians(monkeypatch):
     model, theta = glm_probe_instance()
     jacobian = model.jacobian
-    live, calls, most = set(), [0], [0]
+    live, calls, most, at_center = set(), [0], [0], [0]
 
     def tracked(pt):
         J = jacobian(pt)
         calls[0] += 1
+        at_center[0] += np.array_equal(pt, theta)
         live.add(calls[0])
         weakref.finalize(J, live.discard, calls[0])
         most[0] = max(most[0], len(live))
@@ -189,6 +190,7 @@ def test_glm_probe_holds_few_jacobians(monkeypatch):
     probe_spectrum(model, theta, 1.0, samples=64, seed=0)
     assert calls[0] > 65
     assert most[0] <= 3
+    assert at_center[0] == 1  # the per-point loop's center Jacobian is reused
 
 
 def test_probe_capacity_error():
