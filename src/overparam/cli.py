@@ -219,8 +219,19 @@ def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: floa
     return scale * misfit0 / alpha0
 
 
+def check_nu(cfg: RunConfig) -> None:
+    """Refuse a diag.nu that the SGD plan cannot use, before any model is built."""
+    if not (math.isfinite(cfg.nu) and cfg.nu >= 3.0):
+        raise ConfigError(f"diag.nu must be a finite number >= 3, got {cfg.nu!r}")
+
+
 def prepare(cfg: RunConfig) -> tuple[Model, Array, float, SpectrumBounds]:
-    """Build the configured instance and probe its Jacobian spectrum around theta0."""
+    """Build the configured instance and probe its Jacobian spectrum around theta0.
+
+    An sgd run reads diag.nu (its probe radius and plan), so it is checked first.
+    """
+    if cfg.optimizer == "sgd":
+        check_nu(cfg)
     model, theta0 = build_model(cfg)
     check_capacity(model)
     misfit0 = model.misfit(theta0)
@@ -414,6 +425,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_with_overrides(args)
+    check_nu(cfg)  # verify prints the sgd plan whatever the optimizer
     model, theta0, misfit0, bounds = prepare(cfg)
     assumptions = verify_assumptions(
         model, bounds, lam=cfg.lam,
@@ -452,8 +464,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
+    try:
+        eta = None if args.eta in (None, "auto") else float(args.eta)
+    except ValueError:
+        eta = math.nan
+    if eta is not None and not (math.isfinite(eta) and eta > 0.0):
+        raise ConfigError(f"--eta must be a finite number > 0 or 'auto', got {args.eta!r}")
     model, theta0 = bnd.make_lower_bound_instance(args.alpha, args.beta, args.p, args.mode)
-    eta = float(args.eta) if args.eta not in (None, "auto") else 0.5 / args.beta**2
+    if eta is None:
+        eta = 0.5 / args.beta**2
     traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=args.iters))
     coefficient = bnd.tight_line_coefficient(args.alpha, args.beta, args.mode)
     (line,) = bnd.check_tight_line(traj, coefficient).rows

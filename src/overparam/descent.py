@@ -61,8 +61,8 @@ class OptimConfig:
     potential_zeta: float = 0.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"step size must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"step size must be finite and positive, got {self.eta}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol_misfit < 0:
@@ -371,7 +371,9 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
     The misfit column holds sqrt(loss) and gd_potential holds
     sqrt(mu/8) * ||theta - theta0|| + sqrt(loss), the quantities that contract
     under the local gradient-dominance condition. Requires eta <= 1/L when a
-    smoothness constant is supplied.
+    smoothness constant is supplied. When loss_fn holds a model's own
+    ``loss`` and ``gradient``, the residual measured for the loss is the one
+    the next step pulls back, so each step runs the forward pass once.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -379,14 +381,24 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
         raise ValueError(
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
+    # A model's own least-squares loss and gradient: measure the residual once.
+    model = getattr(loss_fn.value, "__self__", None)
+    if not (getattr(loss_fn.value, "__func__", None) is Model.loss
+            and loss_fn.grad == model.gradient):
+        model = None
 
-    def measure(theta: Array) -> tuple[float, float, None]:
-        loss = float(loss_fn.value(theta))
-        return loss, math.sqrt(max(loss, 0.0)), None
+    def measure(theta: Array) -> tuple[float, float, Array | None]:
+        r = None if model is None else model.residual(theta)
+        loss = float(loss_fn.value(theta)) if r is None else 0.5 * float(r @ r)  # Model.loss
+        return loss, math.sqrt(max(loss, 0.0)), r
+
+    def direction(tau: int, theta: Array, r: Array | None) -> Array:
+        if r is None:
+            return np.asarray(loss_fn.grad(theta), dtype=float)
+        return model.gradient(theta, r)
 
     return _descend(
-        theta0, cfg, measure,
-        direction=lambda tau, theta, _: np.asarray(loss_fn.grad(theta), dtype=float),
+        theta0, cfg, measure, direction,
         potential=lambda dist, root, path_len: math.sqrt(mu / 8.0) * dist + root,
     )
 

@@ -8,6 +8,8 @@ sampled points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -108,6 +110,65 @@ def spectral_norm(A: Array) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
+def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
+    """Brackets (lower, upper, row_upper) on dense values from the n x n Gram
+    G = (F F^T) * K (``Model.gram_factors``) of an n x p Jacobian or difference.
+
+    With lam = eigvalsh(G) ascending, the singular values ``np.linalg.svd``
+    returns, ascending, lie in [lower[i], upper[i]] for i >= n - min(n, p);
+    ``spectral_norm`` of a difference is at most upper[-1]; row r of
+    ``np.linalg.norm(J, axis=1)`` is at most row_upper[r]. With u = eps / 2,
+    T = trace(G) and Lam = max(lam[-1], 0):
+
+        lower, upper = sqrt(max(lam -/+ a, 0)) -/+ b,  row_upper = sqrt(diag(G) + a) + b,
+        a = ((p + 4) T + 3 n^2 Lam) u,  b = (2 n p + 16) u sqrt(scale),
+
+    scale being T for a Jacobian and T + T_a + T_b (adding the two points'
+    Gram traces) for a difference. Let J* have the exact rows F_r (x) x_r:
+    - forming G (inner products of lengths adding up to at most p + 1, the
+      entrywise product) moves entry (r, s) by at most
+      (p + 3) u ||J*_r|| ||J*_s||, a rank-one bound of norm <= (p + 4) u T;
+    - a backward-stable eigvalsh errs by below 2 n^2 u ||G|| (the model of
+      ``models._rounding_allowance``), so by Weyl each lam_i lies within a of
+      sigma_i(J*)^2;
+    - ``jacobian`` rounds J* once per entry, ||J - J*|| <= u ||J*||_F; for a
+      difference, fl(J_a - J_b) is within 3.01 u (|F_a| + |F_b|) |x| of J*
+      per entry, 5 u sqrt(T_a + T_b) in norm;
+    - the dense solver is backward stable: ``svd`` within 2 n p u ||J||,
+      ``spectral_norm`` within a relative (1.5 n p + 2) u, a row norm within
+      a relative (p + 3) u / 2, and ||J|| <= (1 + (p + 4) u) sqrt(T);
+    b covers these and the brackets' own roundings, for (n + p)^2 u far below
+    1 (any model under DENSE_SVD_ENTRY_CAP). b is slack beyond the derived
+    error, so an upper bracket exceeds a positive dense value strictly.
+    """
+    n = G.shape[0]
+    u = np.finfo(float).eps / 2.0
+    lam = np.linalg.eigvalsh(G)
+    a = ((p + 4) * np.trace(G) + 3 * n * n * max(lam[-1], 0.0)) * u
+    b = (2 * n * p + 16) * u * np.sqrt(scale)
+    return (np.sqrt(np.maximum(lam - a, 0.0)) - b, np.sqrt(np.maximum(lam + a, 0.0)) + b,
+            np.sqrt(np.diag(G) + a) + b)
+
+
+def _exact_max(upper: Array, evaluate: Callable[[int], float],
+               best: float = 0.0) -> tuple[float, int | None]:
+    """max(best, evaluate(i) over all i) and the lowest i attaining it above best.
+
+    upper[i] >= evaluate(i), strictly where evaluate(i) > best can hold.
+    Candidates are evaluated in decreasing order of upper until none left can
+    beat the best so far, so value and index are a full loop's (strict `>`)
+    bit for bit.
+    """
+    arg = None
+    for i in np.argsort(-upper, kind="stable"):
+        if upper[i] <= best:
+            break
+        value = evaluate(int(i))
+        if value > best or (value == best and arg is not None and i < arg):
+            best, arg = value, int(i)
+    return best, arg
+
+
 def probe_spectrum(
     model: Model,
     center: Array,
@@ -119,17 +180,16 @@ def probe_spectrum(
 ) -> SpectrumBounds:
     """Probe the Jacobian spectrum at the center, in the ball, and along a path.
 
-    Every probed point gets a full dense SVD, one Jacobian at a time. The
-    Lipschitz estimate is the max of ||J(b) - J(a)|| / ||b - a|| over probed
-    pairs (all pairs when that is affordable, otherwise a deterministic subset
-    anchored at the center), found by an exact bound-ordered search:
-    `Model.deviation_bounds` bounds every pair's deviation at once, pairs are
-    visited in decreasing order of bound / gap, and the search stops at the
-    first pair whose bound / gap is no larger than the best ratio so far, as no
-    pair left can beat it. A visited pair's deviation is the `spectral_norm` of
-    the same difference the full loop takes (`model.jacobian` is deterministic;
-    only the center's Jacobian is kept), so the maximum is the full loop's bit
-    for bit. Coincident points are skipped.
+    alpha, beta and B are the dense SVD's extreme singular values and the
+    largest row norm over the probed points, bit for bit, found by exact
+    bound-ordered searches (``_exact_max``): one eigvalsh of each point's
+    n x n Gram brackets all three (``gram_brackets``), and the dense SVD or
+    row norms run only where a bracket can still set an extremum. The
+    Lipschitz estimate, max ||J(b) - J(a)|| / ||b - a|| over probed pairs (all
+    pairs when affordable, else a deterministic subset anchored at the
+    center), is searched the same way from `Model.deviation_bounds`, a visited
+    pair's deviation being the `spectral_norm` of the difference the full loop
+    takes (only the center's Jacobian is kept). Coincident points are skipped.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -140,21 +200,27 @@ def probe_spectrum(
     points = probe_points(center, radius, samples, seed)
     if trajectory_points is not None:
         points = np.vstack([points, trajectory_points])
-
-    sigma_min = np.inf
-    sigma_max = 0.0
-    row_bound = 0.0
-    for idx, pt in enumerate(points):
-        J = model.jacobian(pt)
-        if idx == 0:
-            center_jacobian = J
-        sv = np.linalg.svd(J, compute_uv=False)
-        sigma_min = min(sigma_min, float(sv[-1]))
-        sigma_max = max(sigma_max, float(sv[0]))
-        row_bound = max(row_bound, float(np.max(np.linalg.norm(J, axis=1))))
-    del J
-
     m = len(points)
+
+    smallest = model.n - min(model.n, model.p)
+    lowers, uppers, rows = np.empty(m), np.empty(m), np.empty(m)
+    for idx, pt in enumerate(points):
+        (F,), K = model.gram_factors([pt])
+        G = (F @ F.T) * K
+        lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
+        lowers[idx], uppers[idx], rows[idx] = lower[smallest], upper[-1], row_upper.max()
+
+    center_jacobian = model.jacobian(points[0])
+
+    def jacobian(i: int) -> Array:
+        return center_jacobian if i == 0 else model.jacobian(points[i])
+
+    svd = cache(lambda i: np.linalg.svd(jacobian(i), compute_uv=False))
+    neg_alpha, _ = _exact_max(-lowers, lambda i: -float(svd(i)[-1]), -np.inf)
+    sigma_max, _ = _exact_max(uppers, lambda i: float(svd(i)[0]))
+    row_bound, _ = _exact_max(
+        rows, lambda i: float(np.max(np.linalg.norm(jacobian(i), axis=1))))
+
     if m * (m - 1) // 2 <= max_pairs:
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     else:
@@ -164,16 +230,15 @@ def probe_spectrum(
     gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
     keys = np.array([bound[i, j] / gap if gap > 0.0 else -np.inf
                      for (i, j), gap in zip(pairs, gaps)])
-    lipschitz = 0.0
-    for k in np.argsort(-keys, kind="stable"):
-        if keys[k] <= lipschitz:
-            break
+
+    def ratio(k: int) -> float:
         i, j = pairs[k]
-        J_i = center_jacobian if i == 0 else model.jacobian(points[i])
-        lipschitz = max(lipschitz, spectral_norm(J_i - model.jacobian(points[j])) / gaps[k])
+        return spectral_norm(jacobian(i) - model.jacobian(points[j])) / gaps[k]
+
+    lipschitz, _ = _exact_max(keys, ratio)
 
     return SpectrumBounds(
-        alpha=sigma_min,
+        alpha=-neg_alpha,
         beta=sigma_max,
         row_bound_B=min(row_bound, sigma_max),
         lipschitz_L=lipschitz,
@@ -305,40 +370,49 @@ def verify_assumptions(
     bounded: every pairwise deviation ||J(b) - J(a)|| must stay within
     (1 - lam) alpha^2 / beta. smooth: deviations must stay within the
     recorded Lipschitz estimate times the pair distance (up to 5% slack).
-    Results are empirical over the probed points only.
+    Each pair is bracketed by its n x n difference Gram (``gram_brackets``)
+    and the dense `spectral_norm` runs only on pairs that can set the largest
+    deviation or ratio (``_exact_max``): both, and the worst pair, are the
+    full dense loop's bit for bit. Results are empirical over the probed
+    points only.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     check_capacity(model)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
-    jacobians = [model.jacobian(pt) for pt in points]
+    factors, K = model.gram_factors(points)
+    traces = [np.trace((F @ F.T) * K) for F in factors]
+    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+    uppers = np.empty(len(pairs))
+    for k, (i, j) in enumerate(pairs):
+        D = factors[i] - factors[j]
+        G = (D @ D.T) * K
+        uppers[k] = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)[1][-1]
+    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+
+    @cache
+    def deviation(k: int) -> float:
+        i, j = pairs[k]
+        return spectral_norm(model.jacobian(points[i]) - model.jacobian(points[j]))
 
     limit = (1.0 - lam) * bounds.alpha**2 / bounds.beta
-    max_dev = 0.0
-    max_ratio = 0.0
-    worst = None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            dev = spectral_norm(jacobians[i] - jacobians[j])
-            if dev > max_dev:
-                max_dev = dev
-                worst = (points[i], points[j])
-            gap = float(np.linalg.norm(points[i] - points[j]))
-            if gap > 0.0:
-                max_ratio = max(max_ratio, dev / gap)
-
+    max_dev, worst = _exact_max(uppers, deviation)
+    # Starting from L leaves max(L, max ratio) and the smooth verdict unchanged.
+    ratio_uppers = np.array([upper / gap if gap > 0.0 else -np.inf
+                             for upper, gap in zip(uppers, gaps)])
+    estimate, _ = _exact_max(ratio_uppers, lambda k: deviation(k) / gaps[k], bounds.lipschitz_L)
     bounded_ok = max_dev <= limit
     if bounds.lipschitz_L == 0.0:
-        smooth_ok = max_ratio <= 1e-10 * max(1.0, bounds.beta)
+        smooth_ok = estimate <= 1e-10 * max(1.0, bounds.beta)
     else:
-        smooth_ok = max_ratio <= bounds.lipschitz_L * 1.05
+        smooth_ok = estimate <= bounds.lipschitz_L * 1.05
     return AssumptionReport(
         bounded_ok=bounded_ok,
         smooth_ok=smooth_ok,
         max_deviation=max_dev,
         bounded_limit=limit,
-        lipschitz_estimate=max(bounds.lipschitz_L, max_ratio),
-        worst_pair=worst,
+        lipschitz_estimate=estimate,
+        worst_pair=None if worst is None else (points[pairs[worst][0]], points[pairs[worst][1]]),
         probe_count=len(points),
         note=f"empirical over {len(points)} probes (radius {bounds.radius:.6g}); "
         "no claim beyond the probed points",

@@ -154,14 +154,14 @@ class Model:
 
     Subclasses implement ``predictions`` and ``jacobian``; everything else
     derives from those. Families with a closed form override ``pullback``,
-    through which ``gradient`` reaches J^T r, and ``deviation_bounds``.
-    ``predictions``, ``jacobian``, ``jacobian_row`` and ``pullback`` check
-    theta (shape (p,), finite, else ValueError); ``residual``,
-    ``per_sample_gradient`` and the rest rely on them. The only state a model
-    gains after construction is a lazily cached, deterministic array
-    (``LowRankModel.Xs_sym``), which is safe to build twice; otherwise models
-    are immutable and safe to share across workers, and all evaluations are
-    pure functions of (model, theta).
+    through which ``gradient`` reaches J^T r, ``deviation_bounds`` and
+    ``gram_factors``. ``predictions``, ``jacobian``, ``jacobian_row`` and
+    ``pullback`` check theta (shape (p,), finite, else ValueError);
+    ``residual``, ``per_sample_gradient`` and the rest rely on them. The only
+    state a model gains after construction is a lazily cached, deterministic
+    array (``LowRankModel.Xs_sym``, ``XXt``), which is safe to build twice;
+    otherwise models are immutable and safe to share across workers, and all
+    evaluations are pure functions of (model, theta).
     """
 
     n: int
@@ -242,6 +242,19 @@ class Model:
         slack = 2.0 * _rounding_allowance(self.n, self.p) * total
         return np.sqrt(np.maximum(total - 2.0 * G, 0.0) + slack)
 
+    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array | float]:
+        """Factors (F, K) of the Jacobian Grams at `points`; F has shape (m, n, k).
+
+        J(points[i]) J(points[i])^T = (F_i F_i^T) * K and the Gram of
+        J(points[i]) - J(points[j]) is (D D^T) * K with D = F_i - F_j, where
+        ``*`` is the entrywise product. Row r of ``jacobian`` is F_ir (x) x_r
+        rounded once per entry, with K = X X^T; the inner products of F F^T and
+        of K have lengths adding up to at most p + 1, which the allowance of
+        ``geometry.gram_brackets`` relies on. The default takes F_i = J(points[i])
+        and K = 1.0; closed-form families use their slopes and a cached X X^T.
+        """
+        return np.array([self.jacobian(pt) for pt in points]), 1.0
+
 
 class GLMModel(Model):
     """f(theta) = phi(X theta) entrywise, for a strictly increasing phi."""
@@ -262,30 +275,42 @@ class GLMModel(Model):
     def residuals(self, thetas: Array) -> Array:
         return self.act.phi(_as_params(thetas, self.p) @ self.X.T) - self.y
 
+    def _slopes(self, theta: Array) -> Array:
+        """dphi(X theta): row r of the Jacobian is slopes[r] * x_r."""
+        return self.act.dphi(self.X @ _as_param(theta, self.p))
+
     def jacobian(self, theta: Array) -> Array:
-        z = self.X @ _as_param(theta, self.p)
-        return self.act.dphi(z)[:, None] * self.X
+        return self._slopes(theta)[:, None] * self.X
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
         theta = _as_param(theta, self.p)
         return self.act.dphi(self.X[i] @ theta) * self.X[i]
 
     def pullback(self, theta: Array, r: Array) -> Array:
-        z = self.X @ _as_param(theta, self.p)
-        return self.X.T @ (self.act.dphi(z) * r)
+        return self.X.T @ (self._slopes(theta) * r)
+
+    @cached_property
+    def XXt(self) -> Array:
+        """X X^T, built on first use (only Gram probes read it)."""
+        return self.X @ self.X.T
+
+    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
+        """F_i = _slopes(theta_i) as an (n, 1) column."""
+        slopes = np.array([self._slopes(pt) for pt in points])
+        return slopes.reshape(len(points), self.n, 1), self.XXt
 
     def deviation_bounds(self, points: Sequence[Array]) -> Array:
         """||J(a) - J(b)|| <= ||delta||_inf ||X|| with delta = dphi(X a) - dphi(X b).
 
-        The slopes dphi(X a) are evaluated exactly as ``jacobian`` evaluates
-        them, so the two Jacobians differ by diag(delta) X plus the rounding of
-        their entries: at most u (|dphi(X a)_r| + |dphi(X b)_r|) |X_r| on each
-        row r with delta_r != 0 (rows with equal slopes cancel exactly), which
-        adds u max_r(...) ||X||_F. The result is inflated by 1 + rho
+        The slopes dphi(X a) are ``jacobian``'s own (``_slopes``), so the two
+        Jacobians differ by diag(delta) X plus the rounding of their entries:
+        at most u (|dphi(X a)_r| + |dphi(X b)_r|) |X_r| on each row r with
+        delta_r != 0 (rows with equal slopes cancel exactly), which adds
+        u max_r(...) ||X||_F. The result is inflated by 1 + rho
         (``_rounding_allowance``). Builds no Jacobian: one (m, n) slope matrix
         and one row of bounds at a time.
         """
-        slopes = np.array([self.act.dphi(self.X @ _as_param(pt, self.p)) for pt in points])
+        slopes = np.array([self._slopes(pt) for pt in points])
         spec = float(np.linalg.norm(self.X, 2))
         frob_u = 0.5 * np.finfo(float).eps * float(np.linalg.norm(self.X))
         out = np.empty((len(slopes), len(slopes)))
@@ -398,9 +423,12 @@ class ShallowNetModel(Model):
         Z = self.X @ self.weights(theta).T  # (n, k)
         return self.act.phi(Z) @ self.v
 
+    def _slopes(self, theta: Array) -> Array:
+        """v * dphi(X W^T), (n, k): block j of Jacobian row r is slopes[r, j] * x_r."""
+        return self.act.dphi(self.X @ self.weights(theta).T) * self.v[None, :]
+
     def jacobian(self, theta: Array) -> Array:
-        Z = self.X @ self.weights(theta).T
-        D = self.act.dphi(Z) * self.v[None, :]  # (n, k)
+        D = self._slopes(theta)
         return (D[:, :, None] * self.X[:, None, :]).reshape(self.n, self.p)
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
@@ -409,7 +437,15 @@ class ShallowNetModel(Model):
         return (d[:, None] * self.X[i][None, :]).reshape(-1)
 
     def pullback(self, theta: Array, r: Array) -> Array:
-        W = self.weights(theta)
-        Z = self.X @ W.T
-        D = self.act.dphi(Z) * self.v[None, :]
+        D = self._slopes(theta)
         return self.flatten_weights((D * r[:, None]).T @ self.X)
+
+    @cached_property
+    def XXt(self) -> Array:
+        """X X^T, built on first use (only Gram probes read it)."""
+        return self.X @ self.X.T
+
+    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
+        """F_i = _slopes(theta_i): J J^T = (F F^T) * X X^T, the Gram of Du et al. 2018."""
+        slopes = np.array([self._slopes(pt) for pt in points])
+        return slopes.reshape(len(points), self.n, self.k), self.XXt

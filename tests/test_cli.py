@@ -164,6 +164,26 @@ def test_out_of_range_values_refused_before_any_jacobian(tmp_path, monkeypatch, 
     assert err.startswith("config error: " + override.split("=")[0] + " must be ")
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("run", "sgd"), ("verify", "gd"), ("verify", "sgd"), ("sgd-martingale", "sgd")])
+@pytest.mark.parametrize("nu", ["2", "nan", "inf"])
+def test_bad_nu_refused_before_any_jacobian(tmp_path, monkeypatch, capsys, command, kind, nu):
+    built = []
+    monkeypatch.setattr(GLMModel, "jacobian", lambda self, theta: built.append(theta))
+    cfg = write(tmp_path, "nu.cfg", GLM_RUN.replace("kind = gd", f"kind = {kind}"))
+    code = main([command, "--config", cfg, f"diag.nu={nu}", "--quiet",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: diag.nu must be ")
+    assert built == []
+
+
+def test_gd_run_does_not_read_nu(tmp_path):
+    cfg = write(tmp_path, "glm.cfg", GLM_RUN)
+    assert main(["run", "--config", cfg, "diag.nu=2", "--quiet",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_auto_overrides_an_explicit_number(tmp_path):
     cfg = write(tmp_path, "glm.cfg", GLM_RUN.replace("eta = auto", "eta = 0.5"))
     parser = cli.build_parser()
@@ -266,6 +286,19 @@ def test_lower_bound_command_degenerate_alpha_equals_beta(tmp_path):
                  "--mode", "tight-lower", "--iters", "500",
                  "--out", str(tmp_path / "lb2"), "--quiet"])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "0", "-1", "fast"])
+def test_lower_bound_refuses_a_bad_step_size_before_building(tmp_path, monkeypatch, capsys,
+                                                             eta):
+    def no_instance(*args):
+        raise AssertionError("instance built before --eta was checked")
+
+    monkeypatch.setattr(cli.bnd, "make_lower_bound_instance", no_instance)
+    code = main(["lower-bound", "--alpha", "1", "--beta", "2", "--iters", "20",
+                 f"--eta={eta}", "--out", str(tmp_path / "lb"), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --eta must be ")
 
 
 def test_lower_bound_command_rejects_bad_order(tmp_path):

@@ -89,6 +89,12 @@ def test_gd_tolerance_exit():
     assert traj.misfit[-1] <= 1e-10 * 1.0 + 1e-30
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+def test_optim_config_needs_a_finite_positive_step_size(eta):
+    with pytest.raises(ValueError, match="step size must be finite and positive"):
+        OptimConfig(eta=eta, max_iters=1)
+
+
 def test_gd_non_finite_abort():
     m = LinearModel(np.eye(1) * 10.0, np.zeros(1))
     traj = run_gd(m, np.ones(1), OptimConfig(eta=1e6, max_iters=2000))
@@ -192,8 +198,13 @@ def assert_same_run(traj, columns, theta):
     assert np.array_equal(traj.theta_final, theta)
 
 
+def _run_pl_on_model_loss(model, theta, cfg):
+    return run_pl_gd(GeneralLoss(value=model.loss, grad=model.gradient), theta, cfg, mu=1.0)
+
+
 @pytest.mark.parametrize("name", FAMILIES)
-@pytest.mark.parametrize("runner", ["gd", "sgd"])
+@pytest.mark.parametrize("runner", [run_gd, run_sgd, _run_pl_on_model_loss],
+                         ids=["gd", "sgd", "pl"])
 def test_each_step_runs_one_forward_pass(name, runner, monkeypatch):
     model, theta = model_zoo(2)[name]
     steps = 7
@@ -206,7 +217,7 @@ def test_each_step_runs_one_forward_pass(name, runner, monkeypatch):
         return forward(self, th)
 
     monkeypatch.setattr(type(model), "predictions", counted)
-    traj = (run_gd if runner == "gd" else run_sgd)(model, theta, cfg)
+    traj = runner(model, theta, cfg)
     assert traj.termination == "max_iters" and int(traj.iters[-1]) == steps
     assert len(calls) == steps + 1
 
@@ -381,6 +392,17 @@ def test_pl_misfit_column_is_root_loss():
     loss = quadratic_loss(np.diag([1.0, 2.0]), np.array([0.0, 4.0]))
     traj = run_pl_gd(loss, np.zeros(2), OptimConfig(eta=0.25, max_iters=10), mu=1.0)
     assert_allclose(traj.misfit, np.sqrt(traj.loss), rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_pl_on_a_model_loss_matches_the_general_loss_path_bitwise(name):
+    model, theta = model_zoo(4)[name]
+    cfg = _steady_config(model, theta, 25)
+    general = GeneralLoss(value=lambda th: model.loss(th), grad=lambda th: model.gradient(th))
+    reference = run_pl_gd(general, theta, cfg, mu=1.0)
+    traj = _run_pl_on_model_loss(model, theta, cfg)
+    assert_same_run(traj, {name: getattr(reference, name) for name in COLUMNS},
+                    reference.theta_final)
 
 
 def test_pl_rejects_eta_above_inverse_L():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overparam import geometry
+from overparam import cli, geometry
+from overparam.config import parse_config_text
 from overparam.geometry import (
     CertificationError,
     SpectrumBounds,
     gd_plan,
+    gram_brackets,
     probe_points,
     probe_spectrum,
     sample_ball,
@@ -241,6 +243,128 @@ def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scal
                 assert bounds[i, j] == 0.0
             else:
                 assert dev <= bounds[i, j]
+
+
+# ---------------------------------------------------------------------------
+# Gram brackets and the point extrema they prune
+# ---------------------------------------------------------------------------
+
+def ill_conditioned_net():
+    """rank X = d < n and slopes within 1e-4 of each other: kappa(J) of about 3e6."""
+    rng = np.random.default_rng(0)
+    n, d, k = 12, 4, 4
+    X = rng.standard_normal((n, d))
+    v = rng.standard_normal(k)
+    v /= np.linalg.norm(v)
+    model = ShallowNetModel(X, rng.standard_normal(n), v, tanh_linear(1e-4))
+    return model, rng.standard_normal(k * d)
+
+
+def test_ill_conditioned_net_is_ill_conditioned():
+    model, theta = ill_conditioned_net()
+    sv = np.linalg.svd(model.jacobian(theta), compute_uv=False)
+    assert sv[0] >= 1e6 * sv[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["linear", "glm", "lowrank", "net", "ill-conditioned net"]),
+    zoo_seed=st.integers(0, 50),
+    log_radii=st.lists(st.integers(-15, 2), min_size=1, max_size=3),
+    log_scale=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_brackets_hold_the_dense_values(family, zoo_seed, log_radii, log_scale, seed):
+    if family == "ill-conditioned net":
+        model, theta = ill_conditioned_net()
+    else:
+        model, theta = model_zoo(zoo_seed)[family]
+    rng = np.random.default_rng(seed)
+    theta = theta * 10.0**log_scale
+    # coincident, one ulp apart either way, then further out
+    points = [theta, theta.copy(), np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf)]
+    for log_radius in log_radii:
+        step = rng.standard_normal(model.p)
+        points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
+    factors, K = model.gram_factors(points)
+    jacobians = [model.jacobian(pt) for pt in points]
+    first = model.n - min(model.n, model.p)
+    traces = []
+    for F, J in zip(factors, jacobians):
+        G = (F @ F.T) * K
+        lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
+        sv = np.linalg.svd(J, compute_uv=False)[::-1]
+        assert np.all(lower[first:] <= sv) and np.all(sv <= upper[first:])
+        assert np.all(np.linalg.norm(J, axis=1) <= row_upper)
+        traces.append(np.trace(G))
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            D = factors[i] - factors[j]
+            G = (D @ D.T) * K
+            upper = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)[1][-1]
+            assert spectral_norm(jacobians[i] - jacobians[j]) <= upper
+
+
+def bench_instance(family, data_seed):
+    """The instances the benchmark's certify workload probes: glm n=100 p=400, net n=50
+    d=20 k=20, with the probe radius and seed that `overparam run` uses."""
+    sizes = {"glm": "model.n = 100\nmodel.p = 400\n",
+             "net": "model.n = 50\nmodel.d = 20\nmodel.k = 20\n"}[family]
+    cfg = parse_config_text(f"model.family = {family}\n{sizes}model.data_seed = {data_seed}\n")
+    model, theta0 = cli.build_model(cfg)
+    radius = cli.auto_probe_radius(cfg, model, theta0, model.misfit(theta0))
+    return model, theta0, radius, data_seed + cli._PROBE_SEED_OFFSET
+
+
+def dense_point_extrema(model, points):
+    """Reference: (alpha, beta, B) from a dense SVD and row norms at every point."""
+    sigma_min, sigma_max, row_bound = np.inf, 0.0, 0.0
+    for pt in points:
+        J = model.jacobian(pt)
+        sv = np.linalg.svd(J, compute_uv=False)
+        sigma_min = min(sigma_min, float(sv[-1]))
+        sigma_max = max(sigma_max, float(sv[0]))
+        row_bound = max(row_bound, float(np.max(np.linalg.norm(J, axis=1))))
+    return sigma_min, sigma_max, min(row_bound, sigma_max)
+
+
+@pytest.mark.parametrize("data_seed", [0, 7, 11])
+@pytest.mark.parametrize("family", ["glm", "net"])
+def test_probe_extrema_match_the_dense_loop_on_bench_shapes(family, data_seed):
+    model, theta0, radius, seed = bench_instance(family, data_seed)
+    b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
+    points = probe_points(theta0, radius, 64, seed)
+    assert (b.alpha, b.beta, b.row_bound_B) == dense_point_extrema(model, points)
+
+
+def test_bench_glm_runs_few_dense_solves(monkeypatch):
+    model, theta0, radius, seed = bench_instance("glm", 0)
+    svds, solves, builds = [], [], []
+    svd, jacobian = np.linalg.svd, model.jacobian
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(1) or svd(A, **kw))
+    b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
+    assert len(svds) <= 5
+    monkeypatch.setattr(geometry, "spectral_norm",
+                        lambda A: solves.append(1) or spectral_norm(A))
+    monkeypatch.setattr(model, "jacobian", lambda pt: builds.append(1) or jacobian(pt))
+    verify_assumptions(model, b, samples=32, seed=seed + 1)
+    assert len(solves) <= 5 and len(builds) <= 10
+
+
+@pytest.mark.parametrize("zoo_seed", range(4))
+@pytest.mark.parametrize("family", ["linear", "glm", "net"])
+def test_probe_stays_inside_the_analytic_envelopes(family, zoo_seed):
+    # From gamma <= dphi <= Gamma: J = diag(dphi) X for a GLM, and for the net
+    # J J^T = (D D^T) * X X^T with rows of D of norm <= Gamma ||v|| = Gamma (Schur).
+    model, theta = model_zoo(zoo_seed)[family]
+    b = probe_spectrum(model, theta, 1.5, samples=16, seed=zoo_seed)
+    sv = np.linalg.svd(model.X, compute_uv=False)
+    act = model.act
+    slack = 1e-12 * b.beta  # rounding slack, far above a dense SVD's 2 n p u ||J||
+    assert b.beta <= act.big_gamma * sv[0] + slack
+    assert b.row_bound_B <= act.big_gamma * np.linalg.norm(model.X, axis=1).max() + slack
+    if family != "net":  # n <= p, so sigma_min(X) is the n-th singular value
+        assert act.gamma * sv[-1] <= b.alpha + slack
 
 
 # ---------------------------------------------------------------------------
