@@ -20,11 +20,11 @@ import numpy as np
 from . import bounds as bnd
 from .config import ConfigError, RunConfig, apply_overrides, config_to_text, load_config
 from .descent import (
-    GeneralLoss,
     OptimConfig,
     Trajectory,
     default_tolerance,
     local_pl_check,
+    model_loss,
     run_gd,
     run_pl_gd,
     run_sgd,
@@ -219,19 +219,16 @@ def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: floa
     return scale * misfit0 / alpha0
 
 
-def check_nu(cfg: RunConfig) -> None:
-    """Refuse a diag.nu that the SGD plan cannot use, before any model is built."""
-    if not (math.isfinite(cfg.nu) and cfg.nu >= 3.0):
-        raise ConfigError(f"diag.nu must be a finite number >= 3, got {cfg.nu!r}")
-
-
-def prepare(cfg: RunConfig) -> tuple[Model, Array, float, SpectrumBounds]:
+def prepare(cfg: RunConfig,
+            reads_nu: bool = False) -> tuple[Model, Array, float, SpectrumBounds]:
     """Build the configured instance and probe its Jacobian spectrum around theta0.
 
-    An sgd run reads diag.nu (its probe radius and plan), so it is checked first.
+    diag.nu is checked first, before any model is built, when the command
+    reads it: an sgd run (its probe radius and plan) or `reads_nu` (verify
+    prints the sgd plan whatever the optimizer).
     """
-    if cfg.optimizer == "sgd":
-        check_nu(cfg)
+    if (reads_nu or cfg.optimizer == "sgd") and not (math.isfinite(cfg.nu) and cfg.nu >= 3.0):
+        raise ConfigError(f"diag.nu must be a finite number >= 3, got {cfg.nu!r}")
     model, theta0 = build_model(cfg)
     check_capacity(model)
     misfit0 = model.misfit(theta0)
@@ -338,7 +335,7 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     elif opt == "pl":
         mu = bounds.alpha**2
         smooth_L = bounds.beta**2 if isinstance(model, LinearModel) else None
-        loss_fn = GeneralLoss(value=model.loss, grad=model.gradient, smoothness_L=smooth_L)
+        loss_fn = model_loss(model, smooth_L)
         loss0 = model.loss(theta0)
         pl_radius = math.sqrt(8.0 * loss0 / mu) if loss0 > 0 else bounds.radius
         pl_report = local_pl_check(loss_fn, theta0, pl_radius, mu,
@@ -425,8 +422,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_with_overrides(args)
-    check_nu(cfg)  # verify prints the sgd plan whatever the optimizer
-    model, theta0, misfit0, bounds = prepare(cfg)
+    model, theta0, misfit0, bounds = prepare(cfg, reads_nu=True)
     assumptions = verify_assumptions(
         model, bounds, lam=cfg.lam,
         samples=max(8, cfg.probe_samples // 2),

@@ -363,6 +363,17 @@ class GeneralLoss:
     value: Callable[[Array], float]
     grad: Callable[[Array], Array]
     smoothness_L: float | None = None
+    model: Model | None = None  # set by model_loss: value and grad are its least squares
+
+
+def model_loss(model: Model, smoothness_L: float | None = None) -> GeneralLoss:
+    """The least-squares loss 0.5 ||f(theta) - y||^2 of `model` as a GeneralLoss.
+
+    ``run_pl_gd`` descends it with one forward pass a step: the residual
+    measured for the loss is the one the step pulls back.
+    """
+    return GeneralLoss(value=model.loss, grad=model.gradient, smoothness_L=smoothness_L,
+                       model=model)
 
 
 def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) -> Trajectory:
@@ -371,9 +382,8 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
     The misfit column holds sqrt(loss) and gd_potential holds
     sqrt(mu/8) * ||theta - theta0|| + sqrt(loss), the quantities that contract
     under the local gradient-dominance condition. Requires eta <= 1/L when a
-    smoothness constant is supplied. When loss_fn holds a model's own
-    ``loss`` and ``gradient``, the residual measured for the loss is the one
-    the next step pulls back, so each step runs the forward pass once.
+    smoothness constant is supplied. A loss from ``model_loss`` runs the
+    model's forward pass once a step, the same run bit for bit.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -381,11 +391,7 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
         raise ValueError(
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
-    # A model's own least-squares loss and gradient: measure the residual once.
-    model = getattr(loss_fn.value, "__self__", None)
-    if not (getattr(loss_fn.value, "__func__", None) is Model.loss
-            and loss_fn.grad == model.gradient):
-        model = None
+    model = loss_fn.model
 
     def measure(theta: Array) -> tuple[float, float, Array | None]:
         r = None if model is None else model.residual(theta)

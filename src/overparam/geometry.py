@@ -169,6 +169,31 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float],
     return best, arg
 
 
+def _point_brackets(model: Model, points: Array) -> tuple[Array, Array, Array, Array]:
+    """Per-point brackets on sigma_min, sigma_max and the largest row norm
+    (``gram_brackets``), and same[i], the first point whose Gram factors are
+    bitwise those of point i.
+
+    Equal factors give the same Jacobian bits (``Model.gram_factors``), hence
+    the same dense values, so each distinct factor is bracketed, and later
+    evaluated, once: on the linear family every point shares one.
+    """
+    factors, K = model.gram_factors(points)
+    first: dict[int, int] = {}
+    same = np.arange(len(points))
+    for i, F in enumerate(factors):
+        j = first.setdefault(hash(F.tobytes()), i)
+        if np.array_equal(F, factors[j]):
+            same[i] = j
+    smallest = model.n - min(model.n, model.p)
+    lowers, uppers, rows = np.empty(len(points)), np.empty(len(points)), np.empty(len(points))
+    for i in np.flatnonzero(same == np.arange(len(points))):
+        G = (factors[i] @ factors[i].T) * K
+        lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
+        lowers[i], uppers[i], rows[i] = lower[smallest], upper[-1], row_upper.max()
+    return lowers[same], uppers[same], rows[same], same
+
+
 def probe_spectrum(
     model: Model,
     center: Array,
@@ -184,7 +209,8 @@ def probe_spectrum(
     largest row norm over the probed points, bit for bit, found by exact
     bound-ordered searches (``_exact_max``): one eigvalsh of each point's
     n x n Gram brackets all three (``gram_brackets``), and the dense SVD or
-    row norms run only where a bracket can still set an extremum. The
+    row norms run only where a bracket can still set an extremum, once per
+    distinct Gram factor and from one Jacobian build (``_point_brackets``). The
     Lipschitz estimate, max ||J(b) - J(a)|| / ||b - a|| over probed pairs (all
     pairs when affordable, else a deterministic subset anchored at the
     center), is searched the same way from `Model.deviation_bounds`, a visited
@@ -202,24 +228,29 @@ def probe_spectrum(
         points = np.vstack([points, trajectory_points])
     m = len(points)
 
-    smallest = model.n - min(model.n, model.p)
-    lowers, uppers, rows = np.empty(m), np.empty(m), np.empty(m)
-    for idx, pt in enumerate(points):
-        (F,), K = model.gram_factors([pt])
-        G = (F @ F.T) * K
-        lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
-        lowers[idx], uppers[idx], rows[idx] = lower[smallest], upper[-1], row_upper.max()
-
+    lowers, uppers, rows, same = _point_brackets(model, points)
     center_jacobian = model.jacobian(points[0])
 
     def jacobian(i: int) -> Array:
         return center_jacobian if i == 0 else model.jacobian(points[i])
 
-    svd = cache(lambda i: np.linalg.svd(jacobian(i), compute_uv=False))
-    neg_alpha, _ = _exact_max(-lowers, lambda i: -float(svd(i)[-1]), -np.inf)
-    sigma_max, _ = _exact_max(uppers, lambda i: float(svd(i)[0]))
-    row_bound, _ = _exact_max(
-        rows, lambda i: float(np.max(np.linalg.norm(jacobian(i), axis=1))))
+    row_maxes: dict[int, float] = {}
+
+    def largest_row(i: int, J: Array | None = None) -> float:
+        if i not in row_maxes:
+            J = jacobian(i) if J is None else J
+            row_maxes[i] = float(np.max(np.linalg.norm(J, axis=1)))
+        return row_maxes[i]
+
+    @cache
+    def svd(i: int) -> Array:
+        J = jacobian(i)
+        largest_row(i, J)  # the row search reads it without building J again
+        return np.linalg.svd(J, compute_uv=False)
+
+    neg_alpha, _ = _exact_max(-lowers, lambda i: -float(svd(same[i])[-1]), -np.inf)
+    sigma_max, _ = _exact_max(uppers, lambda i: float(svd(same[i])[0]))
+    row_bound, _ = _exact_max(rows, lambda i: largest_row(same[i]))
 
     if m * (m - 1) // 2 <= max_pairs:
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -370,8 +401,9 @@ def verify_assumptions(
     bounded: every pairwise deviation ||J(b) - J(a)|| must stay within
     (1 - lam) alpha^2 / beta. smooth: deviations must stay within the
     recorded Lipschitz estimate times the pair distance (up to 5% slack).
-    Each pair is bracketed by its n x n difference Gram (``gram_brackets``)
-    and the dense `spectral_norm` runs only on pairs that can set the largest
+    Each pair is bracketed by its n x n difference Gram (``gram_brackets``),
+    or by 0 when its factors are equal, and the dense `spectral_norm` runs
+    only on pairs that can set the largest
     deviation or ratio (``_exact_max``): both, and the worst pair, are the
     full dense loop's bit for bit. Results are empirical over the probed
     points only.
@@ -386,6 +418,9 @@ def verify_assumptions(
     uppers = np.empty(len(pairs))
     for k, (i, j) in enumerate(pairs):
         D = factors[i] - factors[j]
+        if not D.any():  # equal factors: the dense difference is exactly zero
+            uppers[k] = 0.0
+            continue
         G = (D @ D.T) * K
         uppers[k] = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)[1][-1]
     gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]

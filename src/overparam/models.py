@@ -256,7 +256,28 @@ class Model:
         return np.array([self.jacobian(pt) for pt in points]), 1.0
 
 
-class GLMModel(Model):
+class _SlopeModel(Model):
+    """A family whose Jacobian row r is slopes[r] (x) x_r for an n x d design X:
+    the GLM (one slope a row) and the shallow net (k, one per hidden unit)."""
+
+    X: Array
+
+    def _slopes(self, theta: Array) -> Array:
+        raise NotImplementedError
+
+    @cached_property
+    def XXt(self) -> Array:
+        """X X^T, built on first use (only Gram probes read it)."""
+        return self.X @ self.X.T
+
+    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
+        """F_i = _slopes(theta_i) as (n, k): J J^T = (F F^T) * X X^T, for the
+        net the Gram of Du et al. 2018."""
+        slopes = np.array([self._slopes(pt) for pt in points])
+        return slopes.reshape(len(points), self.n, -1), self.XXt
+
+
+class GLMModel(_SlopeModel):
     """f(theta) = phi(X theta) entrywise, for a strictly increasing phi."""
 
     def __init__(self, X: Array, y: Array, act: Activation):
@@ -288,16 +309,6 @@ class GLMModel(Model):
 
     def pullback(self, theta: Array, r: Array) -> Array:
         return self.X.T @ (self._slopes(theta) * r)
-
-    @cached_property
-    def XXt(self) -> Array:
-        """X X^T, built on first use (only Gram probes read it)."""
-        return self.X @ self.X.T
-
-    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
-        """F_i = _slopes(theta_i) as an (n, 1) column."""
-        slopes = np.array([self._slopes(pt) for pt in points])
-        return slopes.reshape(len(points), self.n, 1), self.XXt
 
     def deviation_bounds(self, points: Sequence[Array]) -> Array:
         """||J(a) - J(b)|| <= ||delta||_inf ||X|| with delta = dphi(X a) - dphi(X b).
@@ -386,7 +397,7 @@ class LowRankModel(Model):
         return self.flatten_factor((M + M.T) @ Theta)
 
 
-class ShallowNetModel(Model):
+class ShallowNetModel(_SlopeModel):
     """One-hidden-layer net x -> v^T phi(W x) with fixed unit output weights.
 
     Only the k x d input-to-hidden matrix W is trained; theta stores W row by
@@ -439,13 +450,3 @@ class ShallowNetModel(Model):
     def pullback(self, theta: Array, r: Array) -> Array:
         D = self._slopes(theta)
         return self.flatten_weights((D * r[:, None]).T @ self.X)
-
-    @cached_property
-    def XXt(self) -> Array:
-        """X X^T, built on first use (only Gram probes read it)."""
-        return self.X @ self.X.T
-
-    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
-        """F_i = _slopes(theta_i): J J^T = (F F^T) * X X^T, the Gram of Du et al. 2018."""
-        slopes = np.array([self._slopes(pt) for pt in points])
-        return slopes.reshape(len(points), self.n, self.k), self.XXt

@@ -13,6 +13,7 @@ from overparam.descent import (
     Trajectory,
     default_tolerance,
     local_pl_check,
+    model_loss,
     run_gd,
     run_pl_gd,
     run_sgd,
@@ -199,7 +200,7 @@ def assert_same_run(traj, columns, theta):
 
 
 def _run_pl_on_model_loss(model, theta, cfg):
-    return run_pl_gd(GeneralLoss(value=model.loss, grad=model.gradient), theta, cfg, mu=1.0)
+    return run_pl_gd(model_loss(model), theta, cfg, mu=1.0)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

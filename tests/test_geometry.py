@@ -351,6 +351,28 @@ def test_bench_glm_runs_few_dense_solves(monkeypatch):
     assert len(solves) <= 5 and len(builds) <= 10
 
 
+def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
+    # Every point of the linear family has the Jacobian X: its brackets all
+    # tie, so the searches must share one dense evaluation rather than run one
+    # per point, and every pair's difference is exactly zero.
+    cfg = parse_config_text("model.family = linear\nmodel.n = 100\nmodel.p = 400\n")
+    model, theta0 = cli.build_model(cfg)
+    points = probe_points(theta0, 1.0, 64, 3)
+    reference = dense_point_extrema(model, points)
+    svds, solves, builds = [], [], []
+    svd, jacobian = np.linalg.svd, model.jacobian
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(1) or svd(A, **kw))
+    monkeypatch.setattr(geometry, "spectral_norm",
+                        lambda A: solves.append(1) or spectral_norm(A))
+    monkeypatch.setattr(model, "jacobian", lambda pt: builds.append(1) or jacobian(pt))
+    b = probe_spectrum(model, theta0, 1.0, samples=64, seed=3)
+    assert (b.alpha, b.beta, b.row_bound_B, b.lipschitz_L) == (*reference, 0.0)
+    assert (len(svds), len(solves), len(builds)) == (1, 0, 1)
+    report = verify_assumptions(model, b, samples=32, seed=4)
+    assert (report.max_deviation, report.lipschitz_estimate, report.worst_pair) == (0.0, 0.0, None)
+    assert (len(svds), len(solves), len(builds)) == (1, 0, 1)
+
+
 @pytest.mark.parametrize("zoo_seed", range(4))
 @pytest.mark.parametrize("family", ["linear", "glm", "net"])
 def test_probe_stays_inside_the_analytic_envelopes(family, zoo_seed):
