@@ -367,11 +367,8 @@ class GeneralLoss:
 
 
 def model_loss(model: Model, smoothness_L: float | None = None) -> GeneralLoss:
-    """The least-squares loss 0.5 ||f(theta) - y||^2 of `model` as a GeneralLoss.
-
-    ``run_pl_gd`` descends it with one forward pass a step: the residual
-    measured for the loss is the one the step pulls back.
-    """
+    """0.5 ||f(theta) - y||^2 of `model`, which ``run_pl_gd`` descends with one
+    forward pass a step (the residual measured for the loss is pulled back)."""
     return GeneralLoss(value=model.loss, grad=model.gradient, smoothness_L=smoothness_L,
                        model=model)
 

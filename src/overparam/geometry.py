@@ -170,25 +170,23 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float],
 
 
 def _point_brackets(model: Model, points: Array) -> tuple[Array, Array, Array, Array]:
-    """Per-point brackets on sigma_min, sigma_max and the largest row norm
-    (``gram_brackets``), and same[i], the first point whose Gram factors are
-    bitwise those of point i.
+    """Brackets on each point's sigma_min, sigma_max and largest row norm
+    (``gram_brackets``), and same[i], the first point with point i's factor bits.
 
-    Equal factors give the same Jacobian bits (``Model.gram_factors``), hence
-    the same dense values, so each distinct factor is bracketed, and later
-    evaluated, once: on the linear family every point shares one.
+    Equal factors give equal Jacobian bits (``Model.gram_factors``), so each
+    distinct factor is bracketed, and evaluated, once (all linear points share one).
     """
-    factors, K = model.gram_factors(points)
-    first: dict[int, int] = {}
-    same = np.arange(len(points))
-    for i, F in enumerate(factors):
-        j = first.setdefault(hash(F.tobytes()), i)
-        if np.array_equal(F, factors[j]):
-            same[i] = j
     smallest = model.n - min(model.n, model.p)
     lowers, uppers, rows = np.empty(len(points)), np.empty(len(points)), np.empty(len(points))
-    for i in np.flatnonzero(same == np.arange(len(points))):
-        G = (factors[i] @ factors[i].T) * K
+    first: dict[int, int] = {}  # hash of the factor bits -> first point holding them
+    same = np.arange(len(points))
+    for i, pt in enumerate(points):
+        (F,), K = model.gram_factors([pt])
+        j = first.setdefault(hash(F.tobytes()), i)
+        if j < i and np.array_equal(F, model.gram_factors([points[j]])[0][0]):
+            same[i] = j
+            continue
+        G = (F @ F.T) * K
         lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
         lowers[i], uppers[i], rows[i] = lower[smallest], upper[-1], row_upper.max()
     return lowers[same], uppers[same], rows[same], same
@@ -234,18 +232,17 @@ def probe_spectrum(
     def jacobian(i: int) -> Array:
         return center_jacobian if i == 0 else model.jacobian(points[i])
 
-    row_maxes: dict[int, float] = {}
+    row_maxes: dict[int, float] = {}  # kept from every build, so none is built twice
 
     def largest_row(i: int, J: Array | None = None) -> float:
         if i not in row_maxes:
-            J = jacobian(i) if J is None else J
-            row_maxes[i] = float(np.max(np.linalg.norm(J, axis=1)))
+            row_maxes[i] = float(np.max(np.linalg.norm(jacobian(i) if J is None else J, axis=1)))
         return row_maxes[i]
 
     @cache
     def svd(i: int) -> Array:
         J = jacobian(i)
-        largest_row(i, J)  # the row search reads it without building J again
+        largest_row(i, J)
         return np.linalg.svd(J, compute_uv=False)
 
     neg_alpha, _ = _exact_max(-lowers, lambda i: -float(svd(same[i])[-1]), -np.inf)
