@@ -365,6 +365,20 @@ class GeneralLoss:
     smoothness_L: float | None = None
     model: Model | None = None  # set by model_loss: value and grad are its least squares
 
+    def measure(self, theta: Array) -> tuple[float, float, Array | None]:
+        """(loss, sqrt(loss), r) at theta, r being the residual for a loss from
+        ``model_loss`` (None otherwise): ``direction`` pulls it back, so a point
+        costs one forward pass, with ``value`` and ``grad``'s bits."""
+        r = None if self.model is None else self.model.residual(theta)
+        loss = float(self.value(theta)) if r is None else 0.5 * float(r @ r)  # Model.loss
+        return loss, math.sqrt(max(loss, 0.0)), r
+
+    def direction(self, theta: Array, r: Array | None) -> Array:
+        """The gradient at theta, given the r that ``measure`` returned there."""
+        if r is None:
+            return np.asarray(self.grad(theta), dtype=float)
+        return self.model.gradient(theta, r)
+
 
 def model_loss(model: Model, smoothness_L: float | None = None) -> GeneralLoss:
     """0.5 ||f(theta) - y||^2 of `model`, which ``run_pl_gd`` descends with one
@@ -388,20 +402,8 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
         raise ValueError(
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
-    model = loss_fn.model
-
-    def measure(theta: Array) -> tuple[float, float, Array | None]:
-        r = None if model is None else model.residual(theta)
-        loss = float(loss_fn.value(theta)) if r is None else 0.5 * float(r @ r)  # Model.loss
-        return loss, math.sqrt(max(loss, 0.0)), r
-
-    def direction(tau: int, theta: Array, r: Array | None) -> Array:
-        if r is None:
-            return np.asarray(loss_fn.grad(theta), dtype=float)
-        return model.gradient(theta, r)
-
     return _descend(
-        theta0, cfg, measure, direction,
+        theta0, cfg, loss_fn.measure, lambda tau, theta, r: loss_fn.direction(theta, r),
         potential=lambda dist, root, path_len: math.sqrt(mu / 8.0) * dist + root,
     )
 
@@ -437,15 +439,17 @@ def local_pl_check(
     samples: int = 64,
     seed: int = 0,
 ) -> PLCheckReport:
-    """Evaluate ||grad L||^2 - 2 mu L at the center and sampled ball points."""
+    """Evaluate ||grad L||^2 - 2 mu L at the center and sampled ball points
+    (one forward pass a point for a loss from ``model_loss``)."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     points = probe_points(center, radius, samples, seed)
     min_slack = math.inf
     worst = points[0]
     for pt in points:
-        g = np.asarray(loss_fn.grad(pt), dtype=float)
-        slack = float(g @ g) - 2.0 * mu * float(loss_fn.value(pt))
+        loss, _, r = loss_fn.measure(pt)
+        g = loss_fn.direction(pt, r)
+        slack = float(g @ g) - 2.0 * mu * loss
         if slack < min_slack:
             min_slack = slack
             worst = pt

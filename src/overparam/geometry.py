@@ -19,6 +19,7 @@ from .oracle import CapacityError
 Array = np.ndarray
 
 DENSE_SVD_ENTRY_CAP = 4_000_000
+_U = np.finfo(float).eps / 2.0  # unit roundoff
 
 
 class CertificationError(ValueError):
@@ -128,9 +129,8 @@ def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
     - forming G (inner products of lengths adding up to at most p + 1, the
       entrywise product) moves entry (r, s) by at most
       (p + 3) u ||J*_r|| ||J*_s||, a rank-one bound of norm <= (p + 4) u T;
-    - a backward-stable eigvalsh errs by below 2 n^2 u ||G|| (the model of
-      ``models._rounding_allowance``), so by Weyl each lam_i lies within a of
-      sigma_i(J*)^2;
+    - a backward-stable eigvalsh errs by below 2 n^2 u ||G||, so by Weyl
+      each lam_i lies within a of sigma_i(J*)^2;
     - ``jacobian`` rounds J* once per entry, ||J - J*|| <= u ||J*||_F; for a
       difference, fl(J_a - J_b) is within 3.01 u (|F_a| + |F_b|) |x| of J*
       per entry, 5 u sqrt(T_a + T_b) in norm;
@@ -140,14 +140,24 @@ def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
     b covers these and the brackets' own roundings, for (n + p)^2 u far below
     1 (any model under DENSE_SVD_ENTRY_CAP). b is slack beyond the derived
     error, so an upper bracket exceeds a positive dense value strictly.
+
+    K is the Gram of the "Jacobian" X (F = 1), so its upper[-1] is at least
+    ||X|| (1 + (2 n p + 14) u). Schur's product theorem gives ||J*_a - J*_b|| <=
+    max_r ||D_r|| ||X|| for D = F_a - F_b; ``_pair_bounds`` multiplies max_r ||D_r||
+    by that bracket, whose relative slack covers rounding D, its row norms (k <= p
+    entries) and the solver, and adds b at scale T_a + T_b for rounding J_a - J_b.
     """
     n = G.shape[0]
-    u = np.finfo(float).eps / 2.0
     lam = np.linalg.eigvalsh(G)
-    a = ((p + 4) * np.trace(G) + 3 * n * n * max(lam[-1], 0.0)) * u
-    b = (2 * n * p + 16) * u * np.sqrt(scale)
+    a = ((p + 4) * np.trace(G) + 3 * n * n * max(lam[-1], 0.0)) * _U
+    b = _dense_slack(n, p, scale)
     return (np.sqrt(np.maximum(lam - a, 0.0)) - b, np.sqrt(np.maximum(lam + a, 0.0)) + b,
             np.sqrt(np.diag(G) + a) + b)
+
+
+def _dense_slack(n: int, p: int, scale: float | Array) -> float | Array:
+    """b = (2 n p + 16) u sqrt(scale) of ``gram_brackets``."""
+    return (2 * n * p + 16) * _U * np.sqrt(scale)
 
 
 def _exact_max(upper: Array, evaluate: Callable[[int], float],
@@ -169,27 +179,45 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float],
     return best, arg
 
 
-def _point_brackets(model: Model, points: Array) -> tuple[Array, Array, Array, Array]:
+def _point_brackets(factors: Array, K: Array, p: int) -> tuple[Array, ...]:
     """Brackets on each point's sigma_min, sigma_max and largest row norm
-    (``gram_brackets``), and same[i], the first point with point i's factor bits.
+    (``gram_brackets``), its Gram trace, and same[i], the first point with
+    point i's factor bits.
 
     Equal factors give equal Jacobian bits (``Model.gram_factors``), so each
     distinct factor is bracketed, and evaluated, once (all linear points share one).
     """
-    smallest = model.n - min(model.n, model.p)
-    lowers, uppers, rows = np.empty(len(points)), np.empty(len(points)), np.empty(len(points))
+    smallest = max(factors.shape[1] - p, 0)  # n - min(n, p)
+    lowers, uppers, rows, traces = np.empty((4, len(factors)))
     first: dict[int, int] = {}  # hash of the factor bits -> first point holding them
-    same = np.arange(len(points))
-    for i, pt in enumerate(points):
-        (F,), K = model.gram_factors([pt])
+    same = np.arange(len(factors))
+    for i, F in enumerate(factors):
         j = first.setdefault(hash(F.tobytes()), i)
-        if j < i and np.array_equal(F, model.gram_factors([points[j]])[0][0]):
+        if j < i and np.array_equal(F, factors[j]):
             same[i] = j
             continue
         G = (F @ F.T) * K
-        lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
+        traces[i] = np.trace(G)
+        lower, upper, row_upper = gram_brackets(G, traces[i], p)
         lowers[i], uppers[i], rows[i] = lower[smallest], upper[-1], row_upper.max()
-    return lowers[same], uppers[same], rows[same], same
+    return lowers[same], uppers[same], rows[same], traces[same], same
+
+
+def _pair_bounds(factors: Array, K: Array, traces: Array,
+                 pairs: list[tuple[int, int]], p: int) -> Array:
+    """Upper bounds on ``spectral_norm`` of J_i - J_j for each pair (i, j), from the
+    Gram factors by Schur's product theorem (``gram_brackets``); 0 where F_i == F_j."""
+    first, second = np.array(pairs).T
+    block = max(1, 2**16 // factors[0].size)  # pairs in one difference stack (<= 0.5 MB)
+    largest = np.empty(len(pairs))  # max_r ||F_ir - F_jr||
+    for i in set(first.tolist()):
+        at = np.flatnonzero(first == i)
+        for some in np.split(at, range(block, len(at), block)):
+            D = factors[i] - factors[second[some]]
+            largest[some] = np.sqrt(np.max(np.add.reduce(D * D, axis=2), axis=1))
+    spread = gram_brackets(K, np.trace(K), p)[1][-1]
+    bounds = largest * spread + _dense_slack(K.shape[0], p, traces[first] + traces[second])
+    return np.where(largest > 0.0, bounds, 0.0)
 
 
 def probe_spectrum(
@@ -204,16 +232,14 @@ def probe_spectrum(
     """Probe the Jacobian spectrum at the center, in the ball, and along a path.
 
     alpha, beta and B are the dense SVD's extreme singular values and the
-    largest row norm over the probed points, bit for bit, found by exact
-    bound-ordered searches (``_exact_max``): one eigvalsh of each point's
-    n x n Gram brackets all three (``gram_brackets``), and the dense SVD or
-    row norms run only where a bracket can still set an extremum, once per
-    distinct Gram factor and from one Jacobian build (``_point_brackets``). The
-    Lipschitz estimate, max ||J(b) - J(a)|| / ||b - a|| over probed pairs (all
-    pairs when affordable, else a deterministic subset anchored at the
-    center), is searched the same way from `Model.deviation_bounds`, a visited
-    pair's deviation being the `spectral_norm` of the difference the full loop
-    takes (only the center's Jacobian is kept). Coincident points are skipped.
+    largest row norm over the probed points, and L the largest
+    `spectral_norm` of J(b) - J(a) over ||b - a|| for probed pairs (all pairs
+    when affordable, else a deterministic subset anchored at the center;
+    coincident points skipped), each the full dense loop's bit for bit. All
+    four are exact bound-ordered searches (``_exact_max``) from one
+    ``gram_factors`` stack (``_point_brackets``, ``_pair_bounds``): a dense
+    evaluation runs only where a bracket can still set the extremum, once per
+    distinct factor, and only the center's Jacobian is kept.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -226,7 +252,8 @@ def probe_spectrum(
         points = np.vstack([points, trajectory_points])
     m = len(points)
 
-    lowers, uppers, rows, same = _point_brackets(model, points)
+    factors, K = model.gram_factors(points)
+    lowers, uppers, rows, traces, same = _point_brackets(factors, K, model.p)
     center_jacobian = model.jacobian(points[0])
 
     def jacobian(i: int) -> Array:
@@ -254,10 +281,9 @@ def probe_spectrum(
     else:
         pairs = [(0, j) for j in range(1, m)]
         pairs += [(j, j + 1) for j in range(1, m - 1)]
-    bound = model.deviation_bounds(points)
+    bounds = _pair_bounds(factors, K, traces, pairs, model.p)
     gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
-    keys = np.array([bound[i, j] / gap if gap > 0.0 else -np.inf
-                     for (i, j), gap in zip(pairs, gaps)])
+    keys = np.array([bound / gap if gap > 0.0 else -np.inf for bound, gap in zip(bounds, gaps)])
 
     def ratio(k: int) -> float:
         i, j = pairs[k]
@@ -400,10 +426,9 @@ def verify_assumptions(
     recorded Lipschitz estimate times the pair distance (up to 5% slack).
     Each pair is bracketed by its n x n difference Gram (``gram_brackets``),
     or by 0 when its factors are equal, and the dense `spectral_norm` runs
-    only on pairs that can set the largest
-    deviation or ratio (``_exact_max``): both, and the worst pair, are the
-    full dense loop's bit for bit. Results are empirical over the probed
-    points only.
+    only on pairs that can set the largest deviation or ratio (``_exact_max``):
+    both, and the worst pair, are the full dense loop's bit for bit. Results
+    are empirical over the probed points only.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")

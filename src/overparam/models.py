@@ -134,34 +134,19 @@ def vector_norm(v: Array) -> float:
     return math.sqrt(v @ v)
 
 
-def _rounding_allowance(n: int, p: int) -> float:
-    """Relative rounding allowance rho of the pair deviation bounds (n x p Jacobians).
-
-    With u = eps / 2, k = min(n, p) and l = max(n, p), ``geometry.spectral_norm``
-    of fl(J_a - J_b) exceeds the exact ||J_a - J_b|| by at most a factor
-    1 + k (l + k + 2) u: one rounding per entry of the difference, the Gram's
-    inner products of length l in any summation order, a backward-stable
-    eigensolver (error below 2 k^2 u ||G||) and the square root. rho covers
-    that twice over, plus inner products of length n p in any order (the
-    default bound's Gram) and the few roundings that form each bound.
-    """
-    k, l = sorted((n, p))
-    return (n * p + 2 * k * (l + k + 2) + 16) * np.finfo(float).eps
-
-
 class Model:
     """Residual map f: R^p -> R^n with labels y and exact Jacobian.
 
     Subclasses implement ``predictions`` and ``jacobian``; everything else
     derives from those. Families with a closed form override ``pullback``,
-    through which ``gradient`` reaches J^T r, ``deviation_bounds`` and
-    ``gram_factors``. ``predictions``, ``jacobian``, ``jacobian_row`` and
-    ``pullback`` check theta (shape (p,), finite, else ValueError);
-    ``residual``, ``per_sample_gradient`` and the rest rely on them. The only
-    state a model gains after construction is a lazily cached, deterministic
-    array (``LowRankModel.Xs_sym``, ``XXt``), which is safe to build twice;
-    otherwise models are immutable and safe to share across workers, and all
-    evaluations are pure functions of (model, theta).
+    through which ``gradient`` reaches J^T r, and ``gram_factors``.
+    ``predictions``, ``jacobian``, ``jacobian_row`` and ``pullback`` check
+    theta (shape (p,), finite, else ValueError); ``residual``,
+    ``per_sample_gradient`` and the rest rely on them. The only state a model
+    gains after construction is a lazily cached, deterministic array
+    (``LowRankModel.Xs_sym``, ``XXt``), which is safe to build twice; otherwise
+    models are immutable and safe to share across workers, and all evaluations
+    are pure functions of (model, theta).
     """
 
     n: int
@@ -222,27 +207,7 @@ class Model:
         r_i = float((self.residual(theta) if r is None else r)[i])
         return r_i * self.jacobian_row(theta, i)
 
-    def deviation_bounds(self, points: Sequence[Array]) -> Array:
-        """Upper bounds on the Jacobian deviation of every pair of points, (m, m).
-
-        Entry (i, j) is no smaller than what ``geometry.spectral_norm`` returns
-        for jacobian(points[i]) - jacobian(points[j]), rounding included. The
-        default is the Frobenius norm of the difference from the Gram G of the
-        flattened Jacobians, sqrt(g_i + g_j - 2 G_ij), with 2 rho (g_i + g_j)
-        added under the root for the cancellation (rho from
-        ``_rounding_allowance``). G = F F^T holds all m flattened Jacobians in
-        one (m, n p) array F; closed-form families override it and build none.
-        """
-        F = np.empty((len(points), self.n * self.p))
-        for row, pt in zip(F, points):
-            row[:] = self.jacobian(pt).ravel()
-        G = F @ F.T
-        g = np.diag(G)
-        total = g[:, None] + g[None, :]
-        slack = 2.0 * _rounding_allowance(self.n, self.p) * total
-        return np.sqrt(np.maximum(total - 2.0 * G, 0.0) + slack)
-
-    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array | float]:
+    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
         """Factors (F, K) of the Jacobian Grams at `points`; F has shape (m, n, k).
 
         J(points[i]) J(points[i])^T = (F_i F_i^T) * K and the Gram of
@@ -250,10 +215,12 @@ class Model:
         ``*`` is the entrywise product. Row r of ``jacobian`` is F_ir (x) x_r
         rounded once per entry, with K = X X^T; the inner products of F F^T and
         of K have lengths adding up to at most p + 1, which the allowance of
-        ``geometry.gram_brackets`` relies on. The default takes F_i = J(points[i])
-        and K = 1.0; closed-form families use their slopes and a cached X X^T.
+        ``geometry.gram_brackets`` relies on. The default stacks F_i = J(points[i])
+        in place (no list of copies) with K = 1 (n x n, the Gram of x_r = 1);
+        closed-form families use their slopes and a cached X X^T.
         """
-        return np.array([self.jacobian(pt) for pt in points]), 1.0
+        dense = np.fromiter(map(self.jacobian, points), (float, (self.n, self.p)), len(points))
+        return dense, np.ones((self.n, self.n))
 
 
 class _SlopeModel(Model):
@@ -310,33 +277,12 @@ class GLMModel(_SlopeModel):
     def pullback(self, theta: Array, r: Array) -> Array:
         return self.X.T @ (self._slopes(theta) * r)
 
-    def deviation_bounds(self, points: Sequence[Array]) -> Array:
-        """||J(a) - J(b)|| <= ||delta||_inf ||X|| with delta = dphi(X a) - dphi(X b).
-
-        The slopes dphi(X a) are ``jacobian``'s own (``_slopes``), so the two
-        Jacobians differ by diag(delta) X plus the rounding of their entries:
-        at most u (|dphi(X a)_r| + |dphi(X b)_r|) |X_r| on each row r with
-        delta_r != 0 (rows with equal slopes cancel exactly), which adds
-        u max_r(...) ||X||_F. The result is inflated by 1 + rho
-        (``_rounding_allowance``). Builds no Jacobian: one (m, n) slope matrix
-        and one row of bounds at a time.
-        """
-        slopes = np.array([self._slopes(pt) for pt in points])
-        spec = float(np.linalg.norm(self.X, 2))
-        frob_u = 0.5 * np.finfo(float).eps * float(np.linalg.norm(self.X))
-        out = np.empty((len(slopes), len(slopes)))
-        for i, s in enumerate(slopes):
-            delta = s - slopes
-            sizes = np.where(delta != 0.0, np.abs(s) + np.abs(slopes), 0.0)
-            out[i] = np.max(np.abs(delta), axis=1) * spec + np.max(sizes, axis=1) * frob_u
-        return out * (1.0 + _rounding_allowance(self.n, self.p))
-
 
 class LinearModel(GLMModel):
     """f(theta) = X theta: the GLM with phi = identity, so the Jacobian is X everywhere.
 
     Every slope is exactly 1.0, so each value matches the linear formula bit
-    for bit and ``deviation_bounds`` comes out all zero.
+    for bit and every point has the same ``gram_factors``.
     """
 
     def __init__(self, X: Array, y: Array):

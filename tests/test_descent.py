@@ -440,6 +440,21 @@ def test_local_pl_check_nonconvex_probe_defined_mu():
     assert rep.passed
 
 
+def test_local_pl_check_on_a_model_loss_runs_one_forward_pass_a_point(monkeypatch):
+    rng = np.random.default_rng(5)
+    model = GLMModel(rng.standard_normal((20, 60)), rng.standard_normal(20), tanh_linear(0.3))
+    theta = rng.standard_normal(60)
+    general = GeneralLoss(value=lambda th: model.loss(th), grad=lambda th: model.gradient(th))
+    reference = local_pl_check(general, theta, radius=1.0, mu=0.5, samples=64, seed=3)
+    calls = []
+    predictions = model.predictions
+    monkeypatch.setattr(model, "predictions", lambda th: calls.append(1) or predictions(th))
+    rep = local_pl_check(model_loss(model), theta, radius=1.0, mu=0.5, samples=64, seed=3)
+    assert len(calls) == 65
+    assert rep.min_slack == reference.min_slack
+    assert np.array_equal(rep.worst_point, reference.worst_point)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------

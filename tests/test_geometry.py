@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from overparam import cli, geometry
 from overparam.config import parse_config_text
@@ -210,45 +210,6 @@ def test_probe_alpha_beta_are_raw_extrema(family):
     assert b.beta == max(float(sv[0]) for sv in svs)
 
 
-# ---------------------------------------------------------------------------
-# Model.deviation_bounds
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=300, deadline=None)
-@given(
-    family=st.sampled_from(["linear", "glm", "lowrank", "net"]),
-    zoo_seed=st.integers(0, 50),
-    log_radii=st.lists(st.integers(-15, 2), min_size=1, max_size=4),
-    log_scale=st.integers(-2, 2),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scale, seed):
-    model, theta = model_zoo(zoo_seed)[family]
-    rng = np.random.default_rng(seed)
-    theta = theta * 10.0**log_scale
-    # coincident, then near-coincident: every coordinate one ulp away either
-    # way, and the last bits of a far point changed
-    points = [theta, theta.copy(), np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf)]
-    for log_radius in log_radii:
-        step = rng.standard_normal(model.p)
-        points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
-    points.append(points[-1] * (1.0 + 2.0**-52))
-    bounds = model.deviation_bounds(points)
-    assert bounds.shape == (len(points), len(points))
-    jacobians = [model.jacobian(pt) for pt in points]
-    for i in range(len(points)):
-        for j in range(len(points)):
-            dev = spectral_norm(jacobians[i] - jacobians[j])
-            if family == "linear":
-                assert bounds[i, j] == 0.0
-            else:
-                assert dev <= bounds[i, j]
-
-
-# ---------------------------------------------------------------------------
-# Gram brackets and the point extrema they prune
-# ---------------------------------------------------------------------------
-
 def ill_conditioned_net():
     """rank X = d < n and slopes within 1e-4 of each other: kappa(J) of about 3e6."""
     rng = np.random.default_rng(0)
@@ -259,6 +220,51 @@ def ill_conditioned_net():
     model = ShallowNetModel(X, rng.standard_normal(n), v, tanh_linear(1e-4))
     return model, rng.standard_normal(k * d)
 
+
+# ---------------------------------------------------------------------------
+# Pair deviation bounds from the Gram factors
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["linear", "glm", "lowrank", "net", "ill-conditioned net"]),
+    zoo_seed=st.integers(0, 50),
+    log_radii=st.lists(st.integers(-15, 2), min_size=1, max_size=4),
+    log_scale=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Points 1e-15 apart, whose dense deviations exceed the Schur term alone: only
+# the additive rounding term covers them.
+@example(family="glm", zoo_seed=1, log_radii=[-15], log_scale=0, seed=1)
+def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scale, seed):
+    if family == "ill-conditioned net":
+        model, theta = ill_conditioned_net()
+    else:
+        model, theta = model_zoo(zoo_seed)[family]
+    rng = np.random.default_rng(seed)
+    theta = theta * 10.0**log_scale
+    # coincident, then near-coincident: every coordinate one ulp away either
+    # way, and the last bits of a far point changed
+    points = [theta, theta.copy(), np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf)]
+    for log_radius in log_radii:
+        step = rng.standard_normal(model.p)
+        points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
+    points.append(points[-1] * (1.0 + 2.0**-52))
+    factors, K = model.gram_factors(points)
+    traces = geometry._point_brackets(factors, K, model.p)[3]
+    pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
+    bounds = geometry._pair_bounds(factors, K, traces, pairs, model.p)
+    jacobians = [model.jacobian(pt) for pt in points]
+    for (i, j), bound in zip(pairs, bounds):
+        if family == "linear":
+            assert bound == 0.0
+        else:
+            assert spectral_norm(jacobians[i] - jacobians[j]) <= bound
+
+
+# ---------------------------------------------------------------------------
+# Gram brackets and the point extrema they prune
+# ---------------------------------------------------------------------------
 
 def test_ill_conditioned_net_is_ill_conditioned():
     model, theta = ill_conditioned_net()
@@ -349,6 +355,19 @@ def test_bench_glm_runs_few_dense_solves(monkeypatch):
     monkeypatch.setattr(model, "jacobian", lambda pt: builds.append(1) or jacobian(pt))
     verify_assumptions(model, b, samples=32, seed=seed + 1)
     assert len(solves) <= 5 and len(builds) <= 10
+
+
+def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch):
+    # The pair bounds come from the one stack of slope factors, so the only
+    # Jacobians built are the center's, the few dense SVDs' and the visited pairs'.
+    model, theta0, radius, seed = bench_instance("net", 0)
+    builds, stacks = [], []
+    jacobian, gram_factors = model.jacobian, model.gram_factors
+    monkeypatch.setattr(model, "jacobian", lambda pt: builds.append(1) or jacobian(pt))
+    monkeypatch.setattr(model, "gram_factors",
+                        lambda points: stacks.append(len(points)) or gram_factors(points))
+    probe_spectrum(model, theta0, radius, samples=64, seed=seed)
+    assert (len(builds), stacks) == (66, [65])
 
 
 def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
