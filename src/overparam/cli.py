@@ -490,6 +490,8 @@ def cmd_experiment_lowrank(args) -> int:
     sizes = [25, 50, 100, 200] if args.n == "all" else [int(args.n)]
     if any(n not in (25, 50, 100, 200) for n in sizes):
         raise ConfigError("experiment-lowrank supports n in {25, 50, 100, 200}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     lines = []

@@ -57,6 +57,8 @@ class RunConfig:
             ("family", self.family in MODEL_FAMILIES, f"one of {MODEL_FAMILIES}"),
             ("optimizer", self.optimizer in OPTIMIZER_KINDS, f"one of {OPTIMIZER_KINDS}"),
             ("regime", self.regime in REGIMES, f"one of {REGIMES}"),
+            ("data_seed", self.data_seed >= 0, ">= 0"),
+            ("opt_seed", self.opt_seed >= 0, ">= 0"),
             ("iters", self.iters >= 1, ">= 1"),
             ("record_every", self.record_every >= 1, ">= 1"),
             ("probe_samples", self.probe_samples >= 1, ">= 1"),

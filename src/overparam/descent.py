@@ -398,7 +398,8 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if loss_fn.smoothness_L is not None and cfg.eta > 1.0 / loss_fn.smoothness_L + 1e-15:
+    # A relative slack: an absolute one admits eta far above 1/L once L is large.
+    if loss_fn.smoothness_L is not None and cfg.eta > (1.0 + 1e-15) / loss_fn.smoothness_L:
         raise ValueError(
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import Model
+from .models import Model, kron_rows
 from .oracle import CapacityError
 
 Array = np.ndarray
@@ -113,7 +113,8 @@ def spectral_norm(A: Array) -> float:
 
 def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
     """Brackets (lower, upper, row_upper) on dense values from the n x n Gram
-    G = (F F^T) * K (``Model.gram_factors``) of an n x p Jacobian or difference.
+    G = (F F^T) * K, K = X X^T (``Model.gram_factors``), of an n x p Jacobian or
+    difference.
 
     With lam = eigvalsh(G) ascending, the singular values ``np.linalg.svd``
     returns, ascending, lie in [lower[i], upper[i]] for i >= n - min(n, p);
@@ -131,7 +132,7 @@ def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
       (p + 3) u ||J*_r|| ||J*_s||, a rank-one bound of norm <= (p + 4) u T;
     - a backward-stable eigvalsh errs by below 2 n^2 u ||G||, so by Weyl
       each lam_i lies within a of sigma_i(J*)^2;
-    - ``jacobian`` rounds J* once per entry, ||J - J*|| <= u ||J*||_F; for a
+    - ``kron_rows`` rounds J* once per entry, ||J - J*|| <= u ||J*||_F; for a
       difference, fl(J_a - J_b) is within 3.01 u (|F_a| + |F_b|) |x| of J*
       per entry, 5 u sqrt(T_a + T_b) in norm;
     - the dense solver is backward stable: ``svd`` within 2 n p u ||J||,
@@ -184,8 +185,8 @@ def _point_brackets(factors: Array, K: Array, p: int) -> tuple[Array, ...]:
     (``gram_brackets``), its Gram trace, and same[i], the first point with
     point i's factor bits.
 
-    Equal factors give equal Jacobian bits (``Model.gram_factors``), so each
-    distinct factor is bracketed, and evaluated, once (all linear points share one).
+    Equal factors give equal Jacobian bits (``kron_rows``), so each distinct
+    factor is bracketed, and evaluated, once (all linear points share one).
     """
     smallest = max(factors.shape[1] - p, 0)  # n - min(n, p)
     lowers, uppers, rows, traces = np.empty((4, len(factors)))
@@ -220,6 +221,27 @@ def _pair_bounds(factors: Array, K: Array, traces: Array,
     return np.where(largest > 0.0, bounds, 0.0)
 
 
+def _pair_search(points: Array, factors: Array, X: Array, pairs: list[tuple[int, int]],
+                 ) -> tuple[Callable[[int], float], Callable[..., float]]:
+    """(deviation, lipschitz): deviation(k) is the cached ``spectral_norm`` of J_i - J_j
+    for pairs[k] = (i, j), both built from the stack (``kron_rows``); lipschitz(uppers,
+    best) is max(best, deviation(k) / ||points[i] - points[j]|| over all k), searched
+    from uppers[k] >= deviation(k) (``_exact_max``), coincident points skipped."""
+    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+
+    @cache
+    def deviation(k: int) -> float:
+        i, j = pairs[k]
+        return spectral_norm(kron_rows(factors[i], X) - kron_rows(factors[j], X))
+
+    def lipschitz(uppers: Array, best: float = 0.0) -> float:
+        keys = np.array([upper / gap if gap > 0.0 else -np.inf
+                         for upper, gap in zip(uppers, gaps)])
+        return _exact_max(keys, lambda k: deviation(k) / gaps[k], best)[0]
+
+    return deviation, lipschitz
+
+
 def probe_spectrum(
     model: Model,
     center: Array,
@@ -239,7 +261,7 @@ def probe_spectrum(
     four are exact bound-ordered searches (``_exact_max``) from one
     ``gram_factors`` stack (``_point_brackets``, ``_pair_bounds``): a dense
     evaluation runs only where a bracket can still set the extremum, once per
-    distinct factor, and only the center's Jacobian is kept.
+    distinct factor, on a Jacobian built from the stack and dropped after use.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -252,25 +274,17 @@ def probe_spectrum(
         points = np.vstack([points, trajectory_points])
     m = len(points)
 
-    factors, K = model.gram_factors(points)
+    factors, X = model.gram_factors(points)
+    K = X @ X.T
     lowers, uppers, rows, traces, same = _point_brackets(factors, K, model.p)
-    center_jacobian = model.jacobian(points[0])
-
-    def jacobian(i: int) -> Array:
-        return center_jacobian if i == 0 else model.jacobian(points[i])
-
-    row_maxes: dict[int, float] = {}  # kept from every build, so none is built twice
-
-    def largest_row(i: int, J: Array | None = None) -> float:
-        if i not in row_maxes:
-            row_maxes[i] = float(np.max(np.linalg.norm(jacobian(i) if J is None else J, axis=1)))
-        return row_maxes[i]
 
     @cache
     def svd(i: int) -> Array:
-        J = jacobian(i)
-        largest_row(i, J)
-        return np.linalg.svd(J, compute_uv=False)
+        return np.linalg.svd(kron_rows(factors[i], X), compute_uv=False)
+
+    @cache
+    def largest_row(i: int) -> float:
+        return float(np.max(np.linalg.norm(kron_rows(factors[i], X), axis=1)))
 
     neg_alpha, _ = _exact_max(-lowers, lambda i: -float(svd(same[i])[-1]), -np.inf)
     sigma_max, _ = _exact_max(uppers, lambda i: float(svd(same[i])[0]))
@@ -281,21 +295,14 @@ def probe_spectrum(
     else:
         pairs = [(0, j) for j in range(1, m)]
         pairs += [(j, j + 1) for j in range(1, m - 1)]
-    bounds = _pair_bounds(factors, K, traces, pairs, model.p)
-    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
-    keys = np.array([bound / gap if gap > 0.0 else -np.inf for bound, gap in zip(bounds, gaps)])
-
-    def ratio(k: int) -> float:
-        i, j = pairs[k]
-        return spectral_norm(jacobian(i) - model.jacobian(points[j])) / gaps[k]
-
-    lipschitz, _ = _exact_max(keys, ratio)
+    _, lipschitz = _pair_search(points, factors, X, pairs)
+    lipschitz_L = lipschitz(_pair_bounds(factors, K, traces, pairs, model.p))
 
     return SpectrumBounds(
         alpha=-neg_alpha,
         beta=sigma_max,
         row_bound_B=min(row_bound, sigma_max),
-        lipschitz_L=lipschitz,
+        lipschitz_L=lipschitz_L,
         probe_count=m,
         radius=radius,
         center=center,
@@ -434,7 +441,8 @@ def verify_assumptions(
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     check_capacity(model)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
-    factors, K = model.gram_factors(points)
+    factors, X = model.gram_factors(points)
+    K = X @ X.T
     traces = [np.trace((F @ F.T) * K) for F in factors]
     pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
     uppers = np.empty(len(pairs))
@@ -445,19 +453,12 @@ def verify_assumptions(
             continue
         G = (D @ D.T) * K
         uppers[k] = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)[1][-1]
-    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
-
-    @cache
-    def deviation(k: int) -> float:
-        i, j = pairs[k]
-        return spectral_norm(model.jacobian(points[i]) - model.jacobian(points[j]))
+    deviation, lipschitz = _pair_search(points, factors, X, pairs)
 
     limit = (1.0 - lam) * bounds.alpha**2 / bounds.beta
     max_dev, worst = _exact_max(uppers, deviation)
     # Starting from L leaves max(L, max ratio) and the smooth verdict unchanged.
-    ratio_uppers = np.array([upper / gap if gap > 0.0 else -np.inf
-                             for upper, gap in zip(uppers, gaps)])
-    estimate, _ = _exact_max(ratio_uppers, lambda k: deviation(k) / gaps[k], bounds.lipschitz_L)
+    estimate = lipschitz(uppers, bounds.lipschitz_L)
     bounded_ok = max_dev <= limit
     if bounds.lipschitz_L == 0.0:
         smooth_ok = estimate <= 1e-10 * max(1.0, bounds.beta)

@@ -134,19 +134,24 @@ def vector_norm(v: Array) -> float:
     return math.sqrt(v @ v)
 
 
+def kron_rows(F: Array, X: Array) -> Array:
+    """The n x (k q) matrix whose row r is F_r (x) x_r, one rounded product an entry."""
+    return (F[:, :, None] * X[:, None, :]).reshape(len(F), -1)
+
+
 class Model:
     """Residual map f: R^p -> R^n with labels y and exact Jacobian.
 
-    Subclasses implement ``predictions`` and ``jacobian``; everything else
+    Subclasses implement ``predictions`` and ``factors``; everything else
     derives from those. Families with a closed form override ``pullback``,
-    through which ``gradient`` reaches J^T r, and ``gram_factors``.
-    ``predictions``, ``jacobian``, ``jacobian_row`` and ``pullback`` check
+    through which ``gradient`` reaches J^T r, and ``jacobian_row``.
+    ``predictions``, ``factors``, ``jacobian_row`` and ``pullback`` check
     theta (shape (p,), finite, else ValueError); ``residual``,
     ``per_sample_gradient`` and the rest rely on them. The only state a model
-    gains after construction is a lazily cached, deterministic array
-    (``LowRankModel.Xs_sym``, ``XXt``), which is safe to build twice; otherwise
-    models are immutable and safe to share across workers, and all evaluations
-    are pure functions of (model, theta).
+    gains after construction is the lazily cached, deterministic
+    ``LowRankModel.Xs_sym``, which is safe to build twice; otherwise models
+    are immutable and safe to share across workers, and all evaluations are
+    pure functions of (model, theta).
     """
 
     n: int
@@ -156,8 +161,14 @@ class Model:
     def predictions(self, theta: Array) -> Array:
         raise NotImplementedError
 
-    def jacobian(self, theta: Array) -> Array:
+    def factors(self, theta: Array) -> tuple[Array, Array]:
+        """(F, X) with F of shape (n, k) and X of shape (n, q), k q = p, such that
+        row r of the Jacobian is F_r (x) x_r (``kron_rows``). X does not depend on theta."""
         raise NotImplementedError
+
+    def jacobian(self, theta: Array) -> Array:
+        """J(theta), n x p, from ``factors``."""
+        return kron_rows(*self.factors(theta))
 
     def residual(self, theta: Array) -> Array:
         """f(theta) - y, componentwise (``predictions`` validates theta)."""
@@ -208,43 +219,23 @@ class Model:
         return r_i * self.jacobian_row(theta, i)
 
     def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
-        """Factors (F, K) of the Jacobian Grams at `points`; F has shape (m, n, k).
+        """The factors F_i of every point, stacked as (m, n, k), and X.
 
-        J(points[i]) J(points[i])^T = (F_i F_i^T) * K and the Gram of
-        J(points[i]) - J(points[j]) is (D D^T) * K with D = F_i - F_j, where
-        ``*`` is the entrywise product. Row r of ``jacobian`` is F_ir (x) x_r
-        rounded once per entry, with K = X X^T; the inner products of F F^T and
-        of K have lengths adding up to at most p + 1, which the allowance of
-        ``geometry.gram_brackets`` relies on. The default stacks F_i = J(points[i])
-        in place (no list of copies) with K = 1 (n x n, the Gram of x_r = 1);
-        closed-form families use their slopes and a cached X X^T.
+        J(points[i]) J(points[i])^T = (F_i F_i^T) * K with K = X X^T, and the Gram
+        of J(points[i]) - J(points[j]) is (D D^T) * K with D = F_i - F_j, where
+        ``*`` is the entrywise product; ``kron_rows(F_i, X)`` is ``jacobian`` bit
+        for bit. The inner products of F F^T and of K have lengths adding up to
+        at most p + 1, which the allowance of ``geometry.gram_brackets`` relies on.
         """
-        dense = np.fromiter(map(self.jacobian, points), (float, (self.n, self.p)), len(points))
-        return dense, np.ones((self.n, self.n))
+        F, X = self.factors(points[0])
+        stack = np.empty((len(points), *F.shape))
+        stack[0] = F
+        for i in range(1, len(points)):
+            stack[i] = self.factors(points[i])[0]
+        return stack, X
 
 
-class _SlopeModel(Model):
-    """A family whose Jacobian row r is slopes[r] (x) x_r for an n x d design X:
-    the GLM (one slope a row) and the shallow net (k, one per hidden unit)."""
-
-    X: Array
-
-    def _slopes(self, theta: Array) -> Array:
-        raise NotImplementedError
-
-    @cached_property
-    def XXt(self) -> Array:
-        """X X^T, built on first use (only Gram probes read it)."""
-        return self.X @ self.X.T
-
-    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
-        """F_i = _slopes(theta_i) as (n, k): J J^T = (F F^T) * X X^T, for the
-        net the Gram of Du et al. 2018."""
-        slopes = np.array([self._slopes(pt) for pt in points])
-        return slopes.reshape(len(points), self.n, -1), self.XXt
-
-
-class GLMModel(_SlopeModel):
+class GLMModel(Model):
     """f(theta) = phi(X theta) entrywise, for a strictly increasing phi."""
 
     def __init__(self, X: Array, y: Array, act: Activation):
@@ -263,19 +254,17 @@ class GLMModel(_SlopeModel):
     def residuals(self, thetas: Array) -> Array:
         return self.act.phi(_as_params(thetas, self.p) @ self.X.T) - self.y
 
-    def _slopes(self, theta: Array) -> Array:
-        """dphi(X theta): row r of the Jacobian is slopes[r] * x_r."""
-        return self.act.dphi(self.X @ _as_param(theta, self.p))
-
-    def jacobian(self, theta: Array) -> Array:
-        return self._slopes(theta)[:, None] * self.X
+    def factors(self, theta: Array) -> tuple[Array, Array]:
+        """(dphi(X theta) as a column, X): row r of the Jacobian is dphi(x_r . theta) x_r."""
+        return self.act.dphi(self.X @ _as_param(theta, self.p))[:, None], self.X
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
         theta = _as_param(theta, self.p)
         return self.act.dphi(self.X[i] @ theta) * self.X[i]
 
     def pullback(self, theta: Array, r: Array) -> Array:
-        return self.X.T @ (self._slopes(theta) * r)
+        slopes, X = self.factors(theta)
+        return X.T @ (slopes[:, 0] * r)
 
 
 class LinearModel(GLMModel):
@@ -328,10 +317,10 @@ class LowRankModel(Model):
         Theta = self.factor(theta)
         return np.einsum("dr,idr->i", Theta, self.Xs @ Theta)
 
-    def jacobian(self, theta: Array) -> Array:
-        Theta = self.factor(theta)
-        G = self.Xs_sym @ Theta  # (n, d, r)
-        return G.transpose(0, 2, 1).reshape(self.n, self.p)
+    def factors(self, theta: Array) -> tuple[Array, Array]:
+        """(J, ones((n, 1))): no product structure, so the factor is the dense Jacobian."""
+        G = self.Xs_sym @ self.factor(theta)  # (n, d, r)
+        return G.transpose(0, 2, 1).reshape(self.n, self.p), np.ones((self.n, 1))
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
         Theta = self.factor(theta)
@@ -343,7 +332,7 @@ class LowRankModel(Model):
         return self.flatten_factor((M + M.T) @ Theta)
 
 
-class ShallowNetModel(_SlopeModel):
+class ShallowNetModel(Model):
     """One-hidden-layer net x -> v^T phi(W x) with fixed unit output weights.
 
     Only the k x d input-to-hidden matrix W is trained; theta stores W row by
@@ -380,13 +369,10 @@ class ShallowNetModel(_SlopeModel):
         Z = self.X @ self.weights(theta).T  # (n, k)
         return self.act.phi(Z) @ self.v
 
-    def _slopes(self, theta: Array) -> Array:
-        """v * dphi(X W^T), (n, k): block j of Jacobian row r is slopes[r, j] * x_r."""
-        return self.act.dphi(self.X @ self.weights(theta).T) * self.v[None, :]
-
-    def jacobian(self, theta: Array) -> Array:
-        D = self._slopes(theta)
-        return (D[:, :, None] * self.X[:, None, :]).reshape(self.n, self.p)
+    def factors(self, theta: Array) -> tuple[Array, Array]:
+        """(v * dphi(X W^T), X): block j of Jacobian row r is D[r, j] x_r, so
+        J J^T = (D D^T) * X X^T, the Gram of Du et al. 2018."""
+        return self.act.dphi(self.X @ self.weights(theta).T) * self.v[None, :], self.X
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
         z = self.weights(theta) @ self.X[i]
@@ -394,5 +380,5 @@ class ShallowNetModel(_SlopeModel):
         return (d[:, None] * self.X[i][None, :]).reshape(-1)
 
     def pullback(self, theta: Array, r: Array) -> Array:
-        D = self._slopes(theta)
-        return self.flatten_weights((D * r[:, None]).T @ self.X)
+        D, X = self.factors(theta)
+        return self.flatten_weights((D * r[:, None]).T @ X)

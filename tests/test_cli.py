@@ -131,10 +131,10 @@ def test_capacity_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
 def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
-    def no_dense_jacobian(self, theta):
-        raise AssertionError("dense Jacobian formed before the capacity check")
+    def no_factors(self, theta):
+        raise AssertionError("Jacobian factors formed before the capacity check")
 
-    monkeypatch.setattr(LinearModel, "jacobian", no_dense_jacobian)
+    monkeypatch.setattr(LinearModel, "factors", no_factors)  # every Jacobian goes through them
     cfg = write(
         tmp_path, "big.cfg",
         "model.family = linear\nmodel.n = 3000\nmodel.p = 2000\n"
@@ -152,10 +152,10 @@ def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
 ])
 def test_out_of_range_values_refused_before_any_jacobian(tmp_path, monkeypatch, capsys,
                                                          command, override):
-    def no_jacobian(self, theta):
-        raise AssertionError("Jacobian formed before the config was checked")
+    def no_factors(self, theta):
+        raise AssertionError("Jacobian factors formed before the config was checked")
 
-    monkeypatch.setattr(GLMModel, "jacobian", no_jacobian)
+    monkeypatch.setattr(GLMModel, "factors", no_factors)
     cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
     code = main([command, "--config", cfg, override, "--quiet",
                  "--out", str(tmp_path / "out")])
@@ -169,7 +169,7 @@ def test_out_of_range_values_refused_before_any_jacobian(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("nu", ["2", "nan", "inf"])
 def test_bad_nu_refused_before_any_jacobian(tmp_path, monkeypatch, capsys, command, kind, nu):
     built = []
-    monkeypatch.setattr(GLMModel, "jacobian", lambda self, theta: built.append(theta))
+    monkeypatch.setattr(GLMModel, "factors", lambda self, theta: built.append(theta))
     cfg = write(tmp_path, "nu.cfg", GLM_RUN.replace("kind = gd", f"kind = {kind}"))
     code = main([command, "--config", cfg, f"diag.nu={nu}", "--quiet",
                  "--out", str(tmp_path / "out")])
@@ -322,6 +322,38 @@ def test_experiment_lowrank_command(tmp_path):
     assert code == EXIT_OK
     assert (out / "lowrank_n25_seed0.csv").exists()
     assert "c1=" in (out / "lowrank_summary_seed0.txt").read_text()
+
+
+def test_experiment_lowrank_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "lr"
+    code = main(["experiment-lowrank", "--n", "25", "--seed", "-1", "--iters", "5",
+                 "--out", str(out), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
+@pytest.mark.parametrize("override", ["optimizer.seed=-3", "model.data_seed=-3"])
+def test_negative_seeds_refused_before_any_jacobian(tmp_path, monkeypatch, capsys,
+                                                    command, override):
+    built = []
+    monkeypatch.setattr(GLMModel, "factors", lambda self, theta: built.append(theta))
+    cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
+    code = main([command, "--config", cfg, override, "--quiet",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    key = override.split("=")[0]
+    assert capsys.readouterr().err == f"config error: {key} must be >= 0, got -3\n"
+    assert built == []
+
+
+def test_seed_flag_refuses_a_negative_optimizer_seed(tmp_path, capsys):
+    cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
+    code = main(["run", "--config", cfg, "--seed", "-3", "--quiet",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: optimizer.seed must be >= 0, got -3\n"
 
 
 def test_sgd_martingale_command(tmp_path):

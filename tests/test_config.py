@@ -130,6 +130,15 @@ def test_auto_round_trips_through_file_and_overrides():
     assert apply_overrides(explicit, {key: "auto" for key in auto_keys}) == cfg
 
 
+@pytest.mark.parametrize("key", ["model.data_seed", "optimizer.seed"])
+def test_negative_seeds_rejected_naming_the_key(key):
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -3$"):
+        parse_config_text(f"{key} = -3\n")
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):
+        apply_overrides(RunConfig(), {key: "-1"})
+    assert apply_overrides(RunConfig(), {key: "0"}) == RunConfig()
+
+
 @pytest.mark.parametrize("field, value", [
     ("eta", "x"), ("eta", "auto"), ("tol", True), ("probe_radius", [1.0]),
     ("anchor_count", 2.5), ("anchor_count", True),

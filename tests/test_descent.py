@@ -412,6 +412,19 @@ def test_pl_rejects_eta_above_inverse_L():
         run_pl_gd(loss, np.ones(2), OptimConfig(eta=2.0, max_iters=3), mu=1.0)
 
 
+def test_pl_step_size_check_is_relative_to_inverse_L():
+    # At L = 1e20 an absolute slack of 1e-15 admitted eta = 5e-16 = 5e4 / L,
+    # and the run diverged.
+    loss = quadratic_loss(1e10 * np.eye(2), np.zeros(2))
+    assert loss.smoothness_L == 1e20
+    for eta in (5e-16, 1e-20 * (1.0 + 1e-12)):
+        with pytest.raises(ValueError, match="exceeds 1/L"):
+            run_pl_gd(loss, np.ones(2), OptimConfig(eta=eta, max_iters=3), mu=1.0)
+    traj = run_pl_gd(loss, np.ones(2), OptimConfig(eta=1.0 / loss.smoothness_L, max_iters=3),
+                     mu=1.0)
+    assert np.all(np.diff(traj.loss) <= 0.0)
+
+
 def test_local_pl_check_equality_case():
     loss = GeneralLoss(value=lambda th: 0.5 * float(th @ th), grad=lambda th: th)
     rep = local_pl_check(loss, np.zeros(3), radius=2.0, mu=1.0, samples=32, seed=0)

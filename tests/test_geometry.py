@@ -18,7 +18,7 @@ from overparam.geometry import (
     spectral_norm,
     verify_assumptions,
 )
-from overparam.models import GLMModel, LinearModel, ShallowNetModel, tanh_linear
+from overparam.models import GLMModel, LinearModel, Model, ShallowNetModel, kron_rows, tanh_linear
 from overparam.oracle import CapacityError
 
 from conftest import model_zoo
@@ -30,6 +30,13 @@ def make_bounds(alpha, beta, B=None, L=0.0, n=2, p=2):
         lipschitz_L=L, probe_count=1, radius=1.0, center=np.zeros(p),
         n_rows=n, p_cols=p,
     )
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls; returns the count list."""
+    calls, original = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    return calls
 
 
 def dense_deviations(model, points, pairs):
@@ -175,24 +182,25 @@ def test_probe_eigensolves_only_pairs_that_can_win(monkeypatch):
 
 
 def test_glm_probe_holds_few_jacobians(monkeypatch):
+    # Every dense Jacobian is built from the factor stack and dropped after its
+    # one evaluation: at most a pair's two are alive at once.
     model, theta = glm_probe_instance()
-    jacobian = model.jacobian
-    live, calls, most, at_center = set(), [0], [0], [0]
+    live, calls, most = set(), [0], [0]
 
-    def tracked(pt):
-        J = jacobian(pt)
+    def tracked(F, X):
+        J = kron_rows(F, X)
         calls[0] += 1
-        at_center[0] += np.array_equal(pt, theta)
         live.add(calls[0])
         weakref.finalize(J, live.discard, calls[0])
         most[0] = max(most[0], len(live))
         return J
 
-    monkeypatch.setattr(model, "jacobian", tracked)
+    monkeypatch.setattr(geometry, "kron_rows", tracked)
+    factor_calls = count_calls(monkeypatch, model, "factors")
     probe_spectrum(model, theta, 1.0, samples=64, seed=0)
     assert calls[0] > 65
-    assert most[0] <= 3
-    assert at_center[0] == 1  # the per-point loop's center Jacobian is reused
+    assert most[0] <= 2
+    assert len(factor_calls) == 65  # each point's factors once, none rebuilt for a Jacobian
 
 
 def test_probe_capacity_error():
@@ -250,7 +258,8 @@ def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scal
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
     points.append(points[-1] * (1.0 + 2.0**-52))
-    factors, K = model.gram_factors(points)
+    factors, X = model.gram_factors(points)
+    K = X @ X.T
     traces = geometry._point_brackets(factors, K, model.p)[3]
     pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
     bounds = geometry._pair_bounds(factors, K, traces, pairs, model.p)
@@ -292,11 +301,13 @@ def test_gram_brackets_hold_the_dense_values(family, zoo_seed, log_radii, log_sc
     for log_radius in log_radii:
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
-    factors, K = model.gram_factors(points)
+    factors, X = model.gram_factors(points)
+    K = X @ X.T
     jacobians = [model.jacobian(pt) for pt in points]
     first = model.n - min(model.n, model.p)
     traces = []
     for F, J in zip(factors, jacobians):
+        assert np.array_equal(kron_rows(F, X), J)  # what geometry evaluates
         G = (F @ F.T) * K
         lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
         sv = np.linalg.svd(J, compute_uv=False)[::-1]
@@ -345,29 +356,33 @@ def test_probe_extrema_match_the_dense_loop_on_bench_shapes(family, data_seed):
 
 def test_bench_glm_runs_few_dense_solves(monkeypatch):
     model, theta0, radius, seed = bench_instance("glm", 0)
-    svds, solves, builds = [], [], []
-    svd, jacobian = np.linalg.svd, model.jacobian
-    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(1) or svd(A, **kw))
+    svds = count_calls(monkeypatch, np.linalg, "svd")
     b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
     assert len(svds) <= 5
-    monkeypatch.setattr(geometry, "spectral_norm",
-                        lambda A: solves.append(1) or spectral_norm(A))
-    monkeypatch.setattr(model, "jacobian", lambda pt: builds.append(1) or jacobian(pt))
+    solves = count_calls(monkeypatch, geometry, "spectral_norm")
+    builds = count_calls(monkeypatch, geometry, "kron_rows")
+    factor_calls = count_calls(monkeypatch, model, "factors")
     verify_assumptions(model, b, samples=32, seed=seed + 1)
-    assert len(solves) <= 5 and len(builds) <= 10
+    assert 0 < len(solves) <= 5 and len(builds) == 2 * len(solves)
+    assert len(factor_calls) == 33  # the Jacobians come from the one stack
 
 
 def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch):
-    # The pair bounds come from the one stack of slope factors, so the only
-    # Jacobians built are the center's, the few dense SVDs' and the visited pairs'.
+    # Every bracket comes from the one stack of slope factors, and every dense
+    # Jacobian is built from it: two for each of the 64 visited pairs, one for
+    # each of the 2 dense SVDs and one for the row norms of the point that sets B.
     model, theta0, radius, seed = bench_instance("net", 0)
-    builds, stacks = [], []
-    jacobian, gram_factors = model.jacobian, model.gram_factors
-    monkeypatch.setattr(model, "jacobian", lambda pt: builds.append(1) or jacobian(pt))
+    stacks = []
+    gram_factors = model.gram_factors
     monkeypatch.setattr(model, "gram_factors",
                         lambda points: stacks.append(len(points)) or gram_factors(points))
+    factor_calls = count_calls(monkeypatch, model, "factors")
+    builds = count_calls(monkeypatch, geometry, "kron_rows")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    solves = count_calls(monkeypatch, geometry, "spectral_norm")
     probe_spectrum(model, theta0, radius, samples=64, seed=seed)
-    assert (len(builds), stacks) == (66, [65])
+    assert (len(builds), len(svds), len(solves)) == (131, 2, 64)
+    assert (len(factor_calls), stacks) == (65, [65])
 
 
 def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
@@ -378,18 +393,33 @@ def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
     model, theta0 = cli.build_model(cfg)
     points = probe_points(theta0, 1.0, 64, 3)
     reference = dense_point_extrema(model, points)
-    svds, solves, builds = [], [], []
-    svd, jacobian = np.linalg.svd, model.jacobian
-    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(1) or svd(A, **kw))
-    monkeypatch.setattr(geometry, "spectral_norm",
-                        lambda A: solves.append(1) or spectral_norm(A))
-    monkeypatch.setattr(model, "jacobian", lambda pt: builds.append(1) or jacobian(pt))
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    solves = count_calls(monkeypatch, geometry, "spectral_norm")
+    builds = count_calls(monkeypatch, geometry, "kron_rows")  # the SVD's and the row norms'
+    factor_calls = count_calls(monkeypatch, model, "factors")
     b = probe_spectrum(model, theta0, 1.0, samples=64, seed=3)
     assert (b.alpha, b.beta, b.row_bound_B, b.lipschitz_L) == (*reference, 0.0)
-    assert (len(svds), len(solves), len(builds)) == (1, 0, 1)
+    assert (len(svds), len(solves), len(builds), len(factor_calls)) == (1, 0, 2, 65)
     report = verify_assumptions(model, b, samples=32, seed=4)
     assert (report.max_deviation, report.lipschitz_estimate, report.worst_pair) == (0.0, 0.0, None)
-    assert (len(svds), len(solves), len(builds)) == (1, 0, 1)
+    assert (len(svds), len(solves), len(builds), len(factor_calls)) == (1, 0, 2, 98)
+
+
+def test_lowrank_probe_builds_no_jacobian_through_the_model(monkeypatch):
+    # The low-rank factor is the dense Jacobian itself, so the probe evaluates
+    # every point and pair from its one stack and never calls model.jacobian.
+    model, theta0 = cli.lowrank_instance(20, 3, d=30, r=3)
+    points = probe_points(theta0, 1.0, 32, 5)
+    m = len(points)
+    jacobians = [model.jacobian(pt) for pt in points]
+    dense_L = max(spectral_norm(jacobians[i] - jacobians[j])
+                  / float(np.linalg.norm(points[i] - points[j]))
+                  for i in range(m) for j in range(i + 1, m))
+    reference = (*dense_point_extrema(model, points), dense_L)
+    calls = count_calls(monkeypatch, Model, "jacobian")
+    b = probe_spectrum(model, theta0, 1.0, samples=32, seed=5)
+    assert (b.alpha, b.beta, b.row_bound_B, b.lipschitz_L) == reference
+    assert calls == []
 
 
 @pytest.mark.parametrize("zoo_seed", range(4))
@@ -509,11 +539,11 @@ def test_sgd_plan_smooth_regime_shrinks_eta():
 
 def test_verify_capacity_refused_before_any_jacobian(monkeypatch):
     m = LinearModel(np.zeros((2001, 2001)), np.zeros(2001))
-    built = []
-    monkeypatch.setattr(m, "jacobian", lambda theta: built.append(theta))
+    factor_calls = count_calls(monkeypatch, m, "factors")
+    builds = count_calls(monkeypatch, geometry, "kron_rows")
     with pytest.raises(CapacityError):
         verify_assumptions(m, make_bounds(1.0, 1.0, n=2001, p=2001), samples=4, seed=0)
-    assert built == []
+    assert factor_calls == [] and builds == []
 
 
 def test_verify_linear_bounded_holds():

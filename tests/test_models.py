@@ -89,6 +89,35 @@ def test_jacobian_net_single_identity_unit_is_X():
     assert_allclose(m.jacobian(np.zeros(3)), X, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("act", [tanh_linear(0.3), softplus_linear(0.5), identity_activation()])
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_is_the_closed_form_bit_for_bit(seed, act):
+    # The dense reference of every geometry test: the GLM's diag(dphi(X theta)) X
+    # and the net's blocks D[r, j] x_r, each entry one rounded product.
+    zoo = model_zoo(seed)
+    rng = np.random.default_rng(seed)
+    glm_model = zoo["glm"][0]
+    glm = GLMModel(glm_model.X, glm_model.y, act)
+    theta = rng.standard_normal(glm.p) * 3.0
+    assert np.array_equal(glm.jacobian(theta), act.dphi(glm.X @ theta)[:, None] * glm.X)
+    net_model = zoo["net"][0]
+    net = ShallowNetModel(net_model.X, net_model.y, net_model.v, act)
+    theta = rng.standard_normal(net.p) * 3.0
+    D = act.dphi(net.X @ net.weights(theta).T) * net.v[None, :]
+    want = (D[:, :, None] * net.X[:, None, :]).reshape(net.n, net.p)
+    assert np.array_equal(net.jacobian(theta), want)
+
+
+def test_jacobian_is_defined_once_from_the_factors():
+    families = [cls for cls in vars(models).values()
+                if isinstance(cls, type) and issubclass(cls, Model)]
+    assert [cls for cls in families if "jacobian" in vars(cls)] == [Model]
+    for family, (model, theta) in model_zoo(2).items():
+        F, X = model.factors(theta)
+        assert F.shape[0] == X.shape[0] == model.n and F.shape[1] * X.shape[1] == model.p
+        assert np.array_equal(model.jacobian(theta), models.kron_rows(F, X))
+
+
 def test_loss_values():
     m = LinearModel(np.eye(2), np.array([-1.0, -2.0]))
     assert m.loss(np.zeros(2)) == pytest.approx(2.5)  # residual (1, 2)

@@ -256,7 +256,7 @@ def test_drift_enumeration_cap_refused_before_any_jacobian(monkeypatch):
     n = ENUMERATION_CAP + 1
     m = LinearModel(np.zeros((n, 1)), np.zeros(n))
     calls = []
-    monkeypatch.setattr(LinearModel, "jacobian", lambda self, theta: calls.append(theta))
+    monkeypatch.setattr(LinearModel, "factors", lambda self, theta: calls.append(theta))
     pack = build_packing(np.zeros(1), 1.0, 0.5, K=1, seed=0)
     with pytest.raises(CapacityError, match="enumeration cap"):
         exact_conditional_drift(m, np.zeros(1), eta=0.1, anchors=pack, alpha=1.0)
