@@ -32,7 +32,7 @@ from .descent import (
 from .geometry import (
     CertificationError,
     SpectrumBounds,
-    check_capacity,
+    check_probeable,
     gd_plan,
     probe_spectrum,
     sgd_plan,
@@ -230,7 +230,7 @@ def prepare(cfg: RunConfig,
     if (reads_nu or cfg.optimizer == "sgd") and not (math.isfinite(cfg.nu) and cfg.nu >= 3.0):
         raise ConfigError(f"diag.nu must be a finite number >= 3, got {cfg.nu!r}")
     model, theta0 = build_model(cfg)
-    check_capacity(model)
+    check_probeable(model)
     misfit0 = model.misfit(theta0)
     radius = auto_probe_radius(cfg, model, theta0, misfit0)
     bounds = probe_spectrum(

@@ -90,13 +90,17 @@ def probe_points(center: Array, radius: float, samples: int, seed: int) -> Array
     return np.vstack([center[None, :], ball])
 
 
-def check_capacity(model: Model) -> None:
-    """Refuse a model whose dense n x p Jacobian exceeds DENSE_SVD_ENTRY_CAP."""
-    if model.n * model.p > DENSE_SVD_ENTRY_CAP:
+def check_probeable(model: Model) -> None:
+    """Refuse, before any factor or Jacobian is built, a model whose dense n x p
+    Jacobian exceeds DENSE_SVD_ENTRY_CAP (CapacityError), then a tall one
+    (CertificationError): with n > p, J J^T has rank at most p < n, so alpha = 0."""
+    n, p = model.n, model.p
+    if n * p > DENSE_SVD_ENTRY_CAP:
         raise CapacityError(
-            f"dense SVD of a {model.n} x {model.p} Jacobian exceeds the "
-            f"{DENSE_SVD_ENTRY_CAP}-entry cap"
-        )
+            f"dense SVD of a {n} x {p} Jacobian exceeds the {DENSE_SVD_ENTRY_CAP}-entry cap")
+    if n > p:
+        raise CertificationError(f"n = {n} samples exceed p = {p} parameters, so J J^T is "
+                                 "singular and alpha = 0; cannot certify a plan")
 
 
 def spectral_norm(A: Array) -> float:
@@ -113,12 +117,12 @@ def spectral_norm(A: Array) -> float:
 
 def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
     """Brackets (lower, upper, row_upper) on dense values from the n x n Gram
-    G = (F F^T) * K, K = X X^T (``Model.gram_factors``), of an n x p Jacobian or
-    difference.
+    G = (F F^T) * K, K = X X^T (``_factor_stack``), of an n x p Jacobian or
+    difference, n <= p.
 
     With lam = eigvalsh(G) ascending, the singular values ``np.linalg.svd``
-    returns, ascending, lie in [lower[i], upper[i]] for i >= n - min(n, p);
-    ``spectral_norm`` of a difference is at most upper[-1]; row r of
+    returns, ascending, lie in [lower, upper]; ``spectral_norm`` of a
+    difference is at most upper[-1]; row r of
     ``np.linalg.norm(J, axis=1)`` is at most row_upper[r]. With u = eps / 2,
     T = trace(G) and Lam = max(lam[-1], 0):
 
@@ -180,34 +184,45 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float],
     return best, arg
 
 
-def _point_brackets(factors: Array, K: Array, p: int) -> tuple[Array, ...]:
-    """Brackets on each point's sigma_min, sigma_max and largest row norm
-    (``gram_brackets``), its Gram trace, and same[i], the first point with
-    point i's factor bits.
+def _factor_stack(model: Model, points: Array) -> tuple[Array, ...]:
+    """(factors, X, K, same, traces): every point's F_i (``Model.factors``) stacked as
+    (m, n, k), X, K = X X^T, same[i] the first point with point i's factor bits, and
+    traces[i] = trace((F_i F_i^T) * K).
 
-    Equal factors give equal Jacobian bits (``kron_rows``), so each distinct
-    factor is bracketed, and evaluated, once (all linear points share one).
+    J_i J_i^T = (F_i F_i^T) * K and (J_i - J_j)(J_i - J_j)^T = (D D^T) * K with
+    D = F_i - F_j (``*`` entrywise), from inner products of lengths adding up to at
+    most p + 1, as ``gram_brackets`` assumes. ``kron_rows(F_i, X)`` is
+    ``model.jacobian`` bit for bit, so equal factor bits mean equal Jacobian bits.
     """
-    smallest = max(factors.shape[1] - p, 0)  # n - min(n, p)
-    lowers, uppers, rows, traces = np.empty((4, len(factors)))
-    first: dict[int, int] = {}  # hash of the factor bits -> first point holding them
-    same = np.arange(len(factors))
-    for i, F in enumerate(factors):
-        j = first.setdefault(hash(F.tobytes()), i)
-        if j < i and np.array_equal(F, factors[j]):
-            same[i] = j
-            continue
-        G = (F @ F.T) * K
-        traces[i] = np.trace(G)
+    F, X = model.factors(points[0])
+    factors = np.empty((len(points), *F.shape))
+    factors[0] = F
+    for i in range(1, len(points)):
+        factors[i] = model.factors(points[i])[0]
+    bits = factors.reshape(len(points), -1).view((np.void, factors[0].nbytes))[:, 0]
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    K = X @ X.T
+    traces = np.array([np.add.reduce(factors[i] ** 2, axis=1) @ np.diag(K) for i in first])
+    return factors, X, K, first[inverse], traces[inverse]
+
+
+def _point_brackets(factors: Array, K: Array, same: Array, traces: Array,
+                    p: int) -> tuple[Array, ...]:
+    """Brackets on each point's sigma_min, sigma_max and largest row norm
+    (``gram_brackets``), forming the Gram of each distinct factor once."""
+    lowers, uppers, rows = np.empty((3, len(factors)))
+    for i in set(same.tolist()):
+        G = (factors[i] @ factors[i].T) * K
         lower, upper, row_upper = gram_brackets(G, traces[i], p)
-        lowers[i], uppers[i], rows[i] = lower[smallest], upper[-1], row_upper.max()
-    return lowers[same], uppers[same], rows[same], traces[same], same
+        lowers[i], uppers[i], rows[i] = lower[0], upper[-1], row_upper.max()
+    return lowers[same], uppers[same], rows[same]
 
 
-def _pair_bounds(factors: Array, K: Array, traces: Array,
+def _pair_bounds(factors: Array, K: Array, same: Array, traces: Array,
                  pairs: list[tuple[int, int]], p: int) -> Array:
     """Upper bounds on ``spectral_norm`` of J_i - J_j for each pair (i, j), from the
-    Gram factors by Schur's product theorem (``gram_brackets``); 0 where F_i == F_j."""
+    Gram factors by Schur's product theorem (``gram_brackets``); 0 where the factor
+    bits are equal."""
     first, second = np.array(pairs).T
     block = max(1, 2**16 // factors[0].size)  # pairs in one difference stack (<= 0.5 MB)
     largest = np.empty(len(pairs))  # max_r ||F_ir - F_jr||
@@ -218,7 +233,7 @@ def _pair_bounds(factors: Array, K: Array, traces: Array,
             largest[some] = np.sqrt(np.max(np.add.reduce(D * D, axis=2), axis=1))
     spread = gram_brackets(K, np.trace(K), p)[1][-1]
     bounds = largest * spread + _dense_slack(K.shape[0], p, traces[first] + traces[second])
-    return np.where(largest > 0.0, bounds, 0.0)
+    return np.where(same[first] == same[second], 0.0, bounds)
 
 
 def _pair_search(points: Array, factors: Array, X: Array, pairs: list[tuple[int, int]],
@@ -259,7 +274,7 @@ def probe_spectrum(
     when affordable, else a deterministic subset anchored at the center;
     coincident points skipped), each the full dense loop's bit for bit. All
     four are exact bound-ordered searches (``_exact_max``) from one
-    ``gram_factors`` stack (``_point_brackets``, ``_pair_bounds``): a dense
+    ``_factor_stack`` (``_point_brackets``, ``_pair_bounds``): a dense
     evaluation runs only where a bracket can still set the extremum, once per
     distinct factor, on a Jacobian built from the stack and dropped after use.
     """
@@ -267,16 +282,15 @@ def probe_spectrum(
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    check_capacity(model)
+    check_probeable(model)
     center = np.asarray(center, dtype=float)
     points = probe_points(center, radius, samples, seed)
     if trajectory_points is not None:
         points = np.vstack([points, trajectory_points])
     m = len(points)
 
-    factors, X = model.gram_factors(points)
-    K = X @ X.T
-    lowers, uppers, rows, traces, same = _point_brackets(factors, K, model.p)
+    factors, X, K, same, traces = _factor_stack(model, points)
+    lowers, uppers, rows = _point_brackets(factors, K, same, traces, model.p)
 
     @cache
     def svd(i: int) -> Array:
@@ -296,7 +310,7 @@ def probe_spectrum(
         pairs = [(0, j) for j in range(1, m)]
         pairs += [(j, j + 1) for j in range(1, m - 1)]
     _, lipschitz = _pair_search(points, factors, X, pairs)
-    lipschitz_L = lipschitz(_pair_bounds(factors, K, traces, pairs, model.p))
+    lipschitz_L = lipschitz(_pair_bounds(factors, K, same, traces, pairs, model.p))
 
     return SpectrumBounds(
         alpha=-neg_alpha,
@@ -439,18 +453,16 @@ def verify_assumptions(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    check_capacity(model)
+    check_probeable(model)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
-    factors, X = model.gram_factors(points)
-    K = X @ X.T
-    traces = [np.trace((F @ F.T) * K) for F in factors]
+    factors, X, K, same, traces = _factor_stack(model, points)
     pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
     uppers = np.empty(len(pairs))
     for k, (i, j) in enumerate(pairs):
-        D = factors[i] - factors[j]
-        if not D.any():  # equal factors: the dense difference is exactly zero
+        if same[i] == same[j]:  # equal factor bits: the dense difference is exactly zero
             uppers[k] = 0.0
             continue
+        D = factors[i] - factors[j]
         G = (D @ D.T) * K
         uppers[k] = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)[1][-1]
     deviation, lipschitz = _pair_search(points, factors, X, pairs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -143,8 +143,10 @@ class Model:
     """Residual map f: R^p -> R^n with labels y and exact Jacobian.
 
     Subclasses implement ``predictions`` and ``factors``; everything else
-    derives from those. Families with a closed form override ``pullback``,
-    through which ``gradient`` reaches J^T r, and ``jacobian_row``.
+    derives from those, ``jacobian`` and ``pullback`` (through which
+    ``gradient`` reaches J^T r) included. Families override ``jacobian_row``
+    with an O(p) path; ``LowRankModel`` also overrides ``pullback``, because
+    its factor is the dense Jacobian.
     ``predictions``, ``factors``, ``jacobian_row`` and ``pullback`` check
     theta (shape (p,), finite, else ValueError); ``residual``,
     ``per_sample_gradient`` and the rest rely on them. The only state a model
@@ -192,8 +194,10 @@ class Model:
         return 0.5 * float(r @ r)
 
     def pullback(self, theta: Array, r: Array) -> Array:
-        """J(theta)^T r for a vector r of length n."""
-        return self.jacobian(theta).T @ r
+        """J(theta)^T r for a vector r of length n, from ``factors`` without forming J:
+        row i of J is F_i (x) x_i, so J^T r is (F * r[:, None])^T X flattened row by row."""
+        F, X = self.factors(theta)
+        return ((F * r[:, None]).T @ X).reshape(-1)
 
     def gradient(self, theta: Array, r: Array | None = None) -> Array:
         """J(theta)^T (f(theta) - y).
@@ -217,22 +221,6 @@ class Model:
             raise IndexError(f"sample index {i} out of range [0, {self.n})")
         r_i = float((self.residual(theta) if r is None else r)[i])
         return r_i * self.jacobian_row(theta, i)
-
-    def gram_factors(self, points: Sequence[Array]) -> tuple[Array, Array]:
-        """The factors F_i of every point, stacked as (m, n, k), and X.
-
-        J(points[i]) J(points[i])^T = (F_i F_i^T) * K with K = X X^T, and the Gram
-        of J(points[i]) - J(points[j]) is (D D^T) * K with D = F_i - F_j, where
-        ``*`` is the entrywise product; ``kron_rows(F_i, X)`` is ``jacobian`` bit
-        for bit. The inner products of F F^T and of K have lengths adding up to
-        at most p + 1, which the allowance of ``geometry.gram_brackets`` relies on.
-        """
-        F, X = self.factors(points[0])
-        stack = np.empty((len(points), *F.shape))
-        stack[0] = F
-        for i in range(1, len(points)):
-            stack[i] = self.factors(points[i])[0]
-        return stack, X
 
 
 class GLMModel(Model):
@@ -262,16 +250,12 @@ class GLMModel(Model):
         theta = _as_param(theta, self.p)
         return self.act.dphi(self.X[i] @ theta) * self.X[i]
 
-    def pullback(self, theta: Array, r: Array) -> Array:
-        slopes, X = self.factors(theta)
-        return X.T @ (slopes[:, 0] * r)
-
 
 class LinearModel(GLMModel):
     """f(theta) = X theta: the GLM with phi = identity, so the Jacobian is X everywhere.
 
     Every slope is exactly 1.0, so each value matches the linear formula bit
-    for bit and every point has the same ``gram_factors``.
+    for bit and every point has the same ``factors``.
     """
 
     def __init__(self, X: Array, y: Array):
@@ -362,9 +346,6 @@ class ShallowNetModel(Model):
         """Reshape the flat parameter into the k x d weight matrix."""
         return _as_param(theta, self.p).reshape((self.k, self.d))
 
-    def flatten_weights(self, W: Array) -> Array:
-        return np.asarray(W, dtype=float).reshape(-1)
-
     def predictions(self, theta: Array) -> Array:
         Z = self.X @ self.weights(theta).T  # (n, k)
         return self.act.phi(Z) @ self.v
@@ -378,7 +359,3 @@ class ShallowNetModel(Model):
         z = self.weights(theta) @ self.X[i]
         d = self.act.dphi(z) * self.v
         return (d[:, None] * self.X[i][None, :]).reshape(-1)
-
-    def pullback(self, theta: Array, r: Array) -> Array:
-        D, X = self.factors(theta)
-        return self.flatten_weights((D * r[:, None]).T @ X)

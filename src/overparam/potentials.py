@@ -249,7 +249,9 @@ def exact_conditional_drift(
         raise CapacityError(f"n={model.n} exceeds enumeration cap {ENUMERATION_CAP}")
     theta = np.asarray(theta, dtype=float)
     r = model.residual(theta)
-    grads = r[:, None] * model.jacobian(theta)  # row i is per_sample_gradient(theta, i)
+    # Row i is per_sample_gradient(theta, i) only to rounding: jacobian_row takes
+    # x_i . theta as a dot product, J's rows come from X theta, and last bits differ.
+    grads = r[:, None] * model.jacobian(theta)
     offsets = theta[None, :] - anchors.anchors  # (K, p)
     base_sq = np.einsum("kp,kp->k", offsets, offsets)
     base_dist = np.sqrt(base_sq)

@@ -17,7 +17,7 @@ from overparam.cli import (
 from overparam.config import parse_config_text
 from overparam.descent import Trajectory
 from overparam.geometry import probe_spectrum
-from overparam.models import GLMModel, LinearModel
+from overparam.models import GLMModel, LinearModel, tanh_linear
 
 IDENTITY_LINEAR = """\
 model.family = linear
@@ -142,6 +142,47 @@ def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
     )
     assert main([command, "--config", cfg, "--quiet",
                  "--out", str(tmp_path / "cap")]) == EXIT_CAPACITY
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
+def test_tall_model_refused_before_any_jacobian(tmp_path, monkeypatch, capsys, command):
+    # n > p: J J^T is singular, so alpha = 0 whatever the probe would find.
+    built = []
+    monkeypatch.setattr(GLMModel, "factors", lambda self, theta: built.append(theta))
+    tall = GLM_RUN.replace("model.n = 20", "model.n = 600").replace("model.p = 50", "model.p = 20")
+    cfg = write(tmp_path, "tall.cfg", tall.replace("kind = gd", "kind = sgd"))
+    code = main([command, "--config", cfg, "--quiet", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "certification failure: n = 600 samples exceed p = 20 parameters, so J J^T is "
+        "singular and alpha = 0; cannot certify a plan\n")
+    assert built == []
+
+
+def zero_row_glm(cfg):
+    """A GLM whose zero third row makes every Jacobian singular: alpha is exactly 0."""
+    X = np.array([[1.0, 2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 3.0, 0.0, 0.0], np.zeros(5)])
+    return GLMModel(X, np.array([1.0, -1.0, 0.5]), tanh_linear(0.3)), np.ones(5)
+
+
+def test_run_with_zero_alpha_is_a_certification_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_model", zero_row_glm)
+    cfg = write(tmp_path, "glm.cfg", GLM_RUN)
+    code = main(["run", "--config", cfg, "--quiet", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "certification failure: probed alpha is zero; cannot certify a plan\n")
+
+
+def test_verify_with_zero_alpha_reports_no_plan(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_model", zero_row_glm)
+    cfg = write(tmp_path, "glm.cfg", GLM_RUN)
+    out = tmp_path / "out"
+    main(["verify", "--config", cfg, "--quiet", "--out", str(out)])
+    text = (out / "verify.txt").read_text()
+    assert "plan unavailable: probed alpha is zero; cannot certify a plan\n" in text
+    # alpha(theta0) is 0 too, so the probe ball falls back to 0.1 (1 + ||theta0||).
+    assert f"\nradius={0.1 * (1.0 + np.sqrt(5.0)):.17g}\n" in text
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])

@@ -229,6 +229,18 @@ def ill_conditioned_net():
     return model, rng.standard_normal(k * d)
 
 
+def test_tall_models_are_refused_before_any_factor(monkeypatch):
+    X = np.random.default_rng(0).standard_normal((30, 20))
+    model = GLMModel(X, np.zeros(30), tanh_linear(0.3))
+    factor_calls = count_calls(monkeypatch, model, "factors")
+    message = r"n = 30 samples exceed p = 20 parameters, .* alpha = 0"
+    with pytest.raises(CertificationError, match=message):
+        probe_spectrum(model, np.zeros(20), 1.0)
+    with pytest.raises(CertificationError, match=message):
+        verify_assumptions(model, make_bounds(1.0, 2.0, n=30, p=20))
+    assert factor_calls == []
+
+
 # ---------------------------------------------------------------------------
 # Pair deviation bounds from the Gram factors
 # ---------------------------------------------------------------------------
@@ -258,11 +270,9 @@ def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scal
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
     points.append(points[-1] * (1.0 + 2.0**-52))
-    factors, X = model.gram_factors(points)
-    K = X @ X.T
-    traces = geometry._point_brackets(factors, K, model.p)[3]
+    factors, X, K, same, traces = geometry._factor_stack(model, np.array(points))
     pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
-    bounds = geometry._pair_bounds(factors, K, traces, pairs, model.p)
+    bounds = geometry._pair_bounds(factors, K, same, traces, pairs, model.p)
     jacobians = [model.jacobian(pt) for pt in points]
     for (i, j), bound in zip(pairs, bounds):
         if family == "linear":
@@ -301,19 +311,15 @@ def test_gram_brackets_hold_the_dense_values(family, zoo_seed, log_radii, log_sc
     for log_radius in log_radii:
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
-    factors, X = model.gram_factors(points)
-    K = X @ X.T
+    factors, X, K, same, traces = geometry._factor_stack(model, np.array(points))
     jacobians = [model.jacobian(pt) for pt in points]
-    first = model.n - min(model.n, model.p)
-    traces = []
-    for F, J in zip(factors, jacobians):
+    for F, J, trace in zip(factors, jacobians, traces):
         assert np.array_equal(kron_rows(F, X), J)  # what geometry evaluates
         G = (F @ F.T) * K
-        lower, upper, row_upper = gram_brackets(G, np.trace(G), model.p)
+        lower, upper, row_upper = gram_brackets(G, trace, model.p)
         sv = np.linalg.svd(J, compute_uv=False)[::-1]
-        assert np.all(lower[first:] <= sv) and np.all(sv <= upper[first:])
+        assert np.all(lower <= sv) and np.all(sv <= upper)
         assert np.all(np.linalg.norm(J, axis=1) <= row_upper)
-        traces.append(np.trace(G))
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             D = factors[i] - factors[j]
@@ -373,9 +379,10 @@ def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch
     # each of the 2 dense SVDs and one for the row norms of the point that sets B.
     model, theta0, radius, seed = bench_instance("net", 0)
     stacks = []
-    gram_factors = model.gram_factors
-    monkeypatch.setattr(model, "gram_factors",
-                        lambda points: stacks.append(len(points)) or gram_factors(points))
+    factor_stack = geometry._factor_stack
+    monkeypatch.setattr(geometry, "_factor_stack",
+                        lambda model, points: stacks.append(len(points))
+                        or factor_stack(model, points))
     factor_calls = count_calls(monkeypatch, model, "factors")
     builds = count_calls(monkeypatch, geometry, "kron_rows")
     svds = count_calls(monkeypatch, np.linalg, "svd")

@@ -108,14 +108,42 @@ def test_jacobian_is_the_closed_form_bit_for_bit(seed, act):
     assert np.array_equal(net.jacobian(theta), want)
 
 
+def model_classes():
+    return [cls for cls in vars(models).values()
+            if isinstance(cls, type) and issubclass(cls, Model)]
+
+
 def test_jacobian_is_defined_once_from_the_factors():
-    families = [cls for cls in vars(models).values()
-                if isinstance(cls, type) and issubclass(cls, Model)]
-    assert [cls for cls in families if "jacobian" in vars(cls)] == [Model]
+    assert [cls for cls in model_classes() if "jacobian" in vars(cls)] == [Model]
     for family, (model, theta) in model_zoo(2).items():
         F, X = model.factors(theta)
         assert F.shape[0] == X.shape[0] == model.n and F.shape[1] * X.shape[1] == model.p
         assert np.array_equal(model.jacobian(theta), models.kron_rows(F, X))
+
+
+def test_pullback_is_defined_on_model_and_lowrank_only():
+    # The low-rank factor is the dense Jacobian, so only that family keeps a closed form.
+    assert [cls for cls in model_classes() if "pullback" in vars(cls)] == [Model, LowRankModel]
+
+
+@pytest.mark.parametrize("act", [tanh_linear(0.3), softplus_linear(0.5), identity_activation()])
+@pytest.mark.parametrize("seed", range(4))
+def test_pullback_is_the_closed_form_bit_for_bit(seed, act):
+    # The GLM's X^T (dphi(X theta) * r) and the net's (D * r)^T X flattened row by
+    # row, as the descent loops have always computed them.
+    zoo = model_zoo(seed)
+    rng = np.random.default_rng(seed)
+    glm_model = zoo["glm"][0]
+    glm = GLMModel(glm_model.X, glm_model.y, act)
+    theta = rng.standard_normal(glm.p) * 3.0
+    r = rng.standard_normal(glm.n)
+    assert np.array_equal(glm.pullback(theta, r), glm.X.T @ (act.dphi(glm.X @ theta) * r))
+    net_model = zoo["net"][0]
+    net = ShallowNetModel(net_model.X, net_model.y, net_model.v, act)
+    theta = rng.standard_normal(net.p) * 3.0
+    r = rng.standard_normal(net.n)
+    D = net.v * act.dphi(net.X @ net.weights(theta).T)
+    assert np.array_equal(net.pullback(theta, r), ((D * r[:, None]).T @ net.X).reshape(-1))
 
 
 def test_loss_values():
