@@ -32,6 +32,7 @@ from .descent import (
 from .geometry import (
     CertificationError,
     SpectrumBounds,
+    _dense_slack,
     check_probeable,
     gd_plan,
     probe_spectrum,
@@ -211,10 +212,10 @@ def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: floa
     """Default probe ball: the plan radius scale 4 (or nu) * misfit0 / alpha(theta0)."""
     if cfg.probe_radius is not None:
         return cfg.probe_radius
-    sv = np.linalg.svd(model.jacobian(theta0), compute_uv=False)
-    alpha0 = float(sv[-1])
+    J = model.jacobian(theta0)
+    alpha0 = float(np.linalg.svd(J, compute_uv=False)[-1])
     scale = cfg.nu if cfg.optimizer == "sgd" else 4.0
-    if alpha0 <= 0.0 or misfit0 == 0.0:
+    if alpha0 <= _dense_slack(model.n, model.p, float(np.vdot(J, J))) or misfit0 == 0.0:
         return 0.1 * (1.0 + float(np.linalg.norm(theta0)))
     return scale * misfit0 / alpha0
 
@@ -330,7 +331,7 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         traj = run_sgd(model, theta0, run_cfg, anchors=anchors, alpha=bounds.alpha)
         report.extend(bnd.check_lower_bound(traj, bounds.beta))
         if cfg.record_every == 1:
-            monitor = neighborhood_monitor(traj, plan, theta0, bounds.alpha)
+            monitor = neighborhood_monitor(traj, plan, bounds.alpha)
             summary.append(monitor.to_text())
     elif opt == "pl":
         mu = bounds.alpha**2
@@ -520,7 +521,7 @@ def cmd_sgd_martingale(args) -> int:
     run_cfg = OptimConfig(
         eta=plan.eta, max_iters=cfg.iters, seed=cfg.opt_seed, record_thetas=True,
     )
-    traj = run_sgd(model, theta0, run_cfg, anchors=anchors, alpha=bounds.alpha)
+    traj = run_sgd(model, theta0, run_cfg)
 
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,7 @@ sampled points.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -165,22 +166,24 @@ def _dense_slack(n: int, p: int, scale: float | Array) -> float | Array:
     return (2 * n * p + 16) * _U * np.sqrt(scale)
 
 
-def _exact_max(upper: Array, evaluate: Callable[[int], float],
-               best: float = 0.0) -> tuple[float, int | None]:
+def _exact_max(upper: Array, evaluate: Callable[[int], float], best: float = 0.0,
+               refine: Callable[[int], float] | None = None) -> tuple[float, int | None]:
     """max(best, evaluate(i) over all i) and the lowest i attaining it above best.
 
-    upper[i] >= evaluate(i), strictly where evaluate(i) > best can hold.
-    Candidates are evaluated in decreasing order of upper until none left can
-    beat the best so far, so value and index are a full loop's (strict `>`)
-    bit for bit.
+    upper[i] and refine(i), a costlier second bound, exceed evaluate(i) wherever
+    evaluate(i) > best can hold. Candidates are taken in decreasing order of bound,
+    each re-queued once on refine(i) before its evaluation, until none left can beat
+    the best so far: value and index are a full loop's (strict `>`) bit for bit.
     """
+    queue = [(-float(u), i, refine is None) for i, u in enumerate(upper)]
+    heapq.heapify(queue)
     arg = None
-    for i in np.argsort(-upper, kind="stable"):
-        if upper[i] <= best:
-            break
-        value = evaluate(int(i))
-        if value > best or (value == best and arg is not None and i < arg):
-            best, arg = value, int(i)
+    while queue and -queue[0][0] > best:
+        _, i, refined = heapq.heappop(queue)
+        if not refined:
+            heapq.heappush(queue, (-refine(i), i, True))
+        elif (value := evaluate(i)) > best or (value == best and arg is not None and i < arg):
+            best, arg = value, i
     return best, arg
 
 
@@ -236,25 +239,34 @@ def _pair_bounds(factors: Array, K: Array, same: Array, traces: Array,
     return np.where(same[first] == same[second], 0.0, bounds)
 
 
-def _pair_search(points: Array, factors: Array, X: Array, pairs: list[tuple[int, int]],
-                 ) -> tuple[Callable[[int], float], Callable[..., float]]:
-    """(deviation, lipschitz): deviation(k) is the cached ``spectral_norm`` of J_i - J_j
-    for pairs[k] = (i, j), both built from the stack (``kron_rows``); lipschitz(uppers,
-    best) is max(best, deviation(k) / ||points[i] - points[j]|| over all k), searched
-    from uppers[k] >= deviation(k) (``_exact_max``), coincident points skipped."""
-    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+def _pair_search(points: Array, pairs: list[tuple[int, int]], factors: Array, X: Array,
+                 K: Array, same: Array, traces: Array, p: int) -> Callable[..., tuple]:
+    """search(ratio, best=0.0): ``_exact_max`` of the ``spectral_norm`` of J_i - J_j over
+    pairs[k] = (i, j), divided by ||points[i] - points[j]|| when ratio (coincident points
+    skipped), bounded by ``_pair_bounds`` and refined by the difference Gram's bracket
+    (``gram_brackets``); brackets and dense values are cached across searches."""
+    bounds = _pair_bounds(factors, K, same, traces, pairs, p)
+    gaps = np.array([float(np.linalg.norm(points[i] - points[j])) for i, j in pairs])
+
+    @cache
+    def bracket(k: int) -> float:
+        i, j = pairs[k]
+        D = factors[i] - factors[j]
+        G = (D @ D.T) * K
+        return gram_brackets(G, np.trace(G) + traces[i] + traces[j], p)[1][-1]
 
     @cache
     def deviation(k: int) -> float:
         i, j = pairs[k]
         return spectral_norm(kron_rows(factors[i], X) - kron_rows(factors[j], X))
 
-    def lipschitz(uppers: Array, best: float = 0.0) -> float:
-        keys = np.array([upper / gap if gap > 0.0 else -np.inf
-                         for upper, gap in zip(uppers, gaps)])
-        return _exact_max(keys, lambda k: deviation(k) / gaps[k], best)[0]
+    def search(ratio: bool, best: float = 0.0) -> tuple[float, int | None]:
+        over = gaps if ratio else np.ones(len(pairs))  # x / 1.0 == x
+        keys = np.divide(bounds, over, out=np.full(len(pairs), -np.inf), where=over > 0.0)
+        return _exact_max(keys, lambda k: float(deviation(k) / over[k]), best,
+                          lambda k: float(bracket(k) / over[k]))
 
-    return deviation, lipschitz
+    return search
 
 
 def probe_spectrum(
@@ -274,9 +286,10 @@ def probe_spectrum(
     when affordable, else a deterministic subset anchored at the center;
     coincident points skipped), each the full dense loop's bit for bit. All
     four are exact bound-ordered searches (``_exact_max``) from one
-    ``_factor_stack`` (``_point_brackets``, ``_pair_bounds``): a dense
-    evaluation runs only where a bracket can still set the extremum, once per
-    distinct factor, on a Jacobian built from the stack and dropped after use.
+    ``_factor_stack``: alpha, beta and B by point brackets (``_point_brackets``),
+    L by the pair search ``verify_assumptions`` uses too (``_pair_search``). A
+    dense evaluation runs only where a bracket can still set the extremum, once
+    per distinct factor or pair, on Jacobians built from the stack and dropped.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -309,8 +322,7 @@ def probe_spectrum(
     else:
         pairs = [(0, j) for j in range(1, m)]
         pairs += [(j, j + 1) for j in range(1, m - 1)]
-    _, lipschitz = _pair_search(points, factors, X, pairs)
-    lipschitz_L = lipschitz(_pair_bounds(factors, K, same, traces, pairs, model.p))
+    lipschitz_L, _ = _pair_search(points, pairs, factors, X, K, same, traces, model.p)(True)
 
     return SpectrumBounds(
         alpha=-neg_alpha,
@@ -445,32 +457,21 @@ def verify_assumptions(
     bounded: every pairwise deviation ||J(b) - J(a)|| must stay within
     (1 - lam) alpha^2 / beta. smooth: deviations must stay within the
     recorded Lipschitz estimate times the pair distance (up to 5% slack).
-    Each pair is bracketed by its n x n difference Gram (``gram_brackets``),
-    or by 0 when its factors are equal, and the dense `spectral_norm` runs
-    only on pairs that can set the largest deviation or ratio (``_exact_max``):
-    both, and the worst pair, are the full dense loop's bit for bit. Results
-    are empirical over the probed points only.
+    The largest deviation, the worst pair and the largest ratio come from the
+    pair search of ``probe_spectrum``'s L (``_pair_search``), all the full dense
+    `spectral_norm` loop's bit for bit. Results are empirical over the probed
+    points only.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     check_probeable(model)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
-    factors, X, K, same, traces = _factor_stack(model, points)
     pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-    uppers = np.empty(len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        if same[i] == same[j]:  # equal factor bits: the dense difference is exactly zero
-            uppers[k] = 0.0
-            continue
-        D = factors[i] - factors[j]
-        G = (D @ D.T) * K
-        uppers[k] = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)[1][-1]
-    deviation, lipschitz = _pair_search(points, factors, X, pairs)
-
+    search = _pair_search(points, pairs, *_factor_stack(model, points), model.p)
     limit = (1.0 - lam) * bounds.alpha**2 / bounds.beta
-    max_dev, worst = _exact_max(uppers, deviation)
+    max_dev, worst = search(False)
     # Starting from L leaves max(L, max ratio) and the smooth verdict unchanged.
-    estimate = lipschitz(uppers, bounds.lipschitz_L)
+    estimate, _ = search(True, bounds.lipschitz_L)
     bounded_ok = max_dev <= limit
     if bounds.lipschitz_L == 0.0:
         smooth_ok = estimate <= 1e-10 * max(1.0, bounds.beta)

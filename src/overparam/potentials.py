@@ -298,9 +298,7 @@ def in_working_ball(dist, misfit, nu: float, misfit0: float, alpha: float):
     return (dist <= nu * misfit0 / alpha) & (misfit <= (2.0 * nu / 3.0) * misfit0)
 
 
-def neighborhood_monitor(
-    traj: Trajectory, plan: TheoryPlan, center: Array, alpha: float
-) -> NeighborhoodReport:
+def neighborhood_monitor(traj: Trajectory, plan: TheoryPlan, alpha: float) -> NeighborhoodReport:
     """Report the first recorded iterations leaving B(nu/2) and B(nu).
 
     The trajectory must be recorded at stride 1 so exits cannot slip between

@@ -185,6 +185,20 @@ def test_verify_with_zero_alpha_reports_no_plan(tmp_path, monkeypatch):
     assert f"\nradius={0.1 * (1.0 + np.sqrt(5.0)):.17g}\n" in text
 
 
+def test_rounding_level_alpha0_takes_the_fallback_probe_radius():
+    # The zero row makes sigma_min(J(theta0)) zero in exact arithmetic; the SVD
+    # returns 2.2e-16 instead, within its own error, not a 2.9e16 probe radius.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((3, 5))
+    X[0] = 0.0
+    y, theta0 = rng.standard_normal(3), rng.standard_normal(5) / np.sqrt(5.0)
+    model = GLMModel(X, y, tanh_linear(0.3))
+    assert np.linalg.svd(model.jacobian(theta0), compute_uv=False)[-1] > 0.0
+    cfg = parse_config_text(GLM_RUN)
+    radius = cli.auto_probe_radius(cfg, model, theta0, model.misfit(theta0))
+    assert radius == 0.1 * (1.0 + float(np.linalg.norm(theta0)))
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
 @pytest.mark.parametrize("override", [
     "optimizer.record_every=0", "diag.probe_samples=0", "optimizer.eta=nan",

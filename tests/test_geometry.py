@@ -18,7 +18,15 @@ from overparam.geometry import (
     spectral_norm,
     verify_assumptions,
 )
-from overparam.models import GLMModel, LinearModel, Model, ShallowNetModel, kron_rows, tanh_linear
+from overparam.models import (
+    GLMModel,
+    LinearModel,
+    Model,
+    ShallowNetModel,
+    kron_rows,
+    softplus_linear,
+    tanh_linear,
+)
 from overparam.oracle import CapacityError
 
 from conftest import model_zoo
@@ -183,7 +191,9 @@ def test_probe_eigensolves_only_pairs_that_can_win(monkeypatch):
 
 def test_glm_probe_holds_few_jacobians(monkeypatch):
     # Every dense Jacobian is built from the factor stack and dropped after its
-    # one evaluation: at most a pair's two are alive at once.
+    # one evaluation: at most a pair's two are alive at once. Two for the dense
+    # SVDs, one for the row norms of the point that sets B, and two for the one
+    # pair whose difference Gram bracket can set L.
     model, theta = glm_probe_instance()
     live, calls, most = set(), [0], [0]
 
@@ -198,7 +208,7 @@ def test_glm_probe_holds_few_jacobians(monkeypatch):
     monkeypatch.setattr(geometry, "kron_rows", tracked)
     factor_calls = count_calls(monkeypatch, model, "factors")
     probe_spectrum(model, theta, 1.0, samples=64, seed=0)
-    assert calls[0] > 65
+    assert calls[0] == 5
     assert most[0] <= 2
     assert len(factor_calls) == 65  # each point's factors once, none rebuilt for a Jacobian
 
@@ -279,6 +289,55 @@ def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scal
             assert bound == 0.0
         else:
             assert spectral_norm(jacobians[i] - jacobians[j]) <= bound
+
+
+def full_pair_loop(values, best):
+    """Reference: max(best, values) and the lowest index attaining it above best."""
+    arg = None
+    for k, value in enumerate(values):
+        if value > best:
+            best, arg = value, k
+    return best, arg
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["linear", "glm", "lowrank", "net", "ill-conditioned net",
+                            "softplus glm"]),
+    zoo_seed=st.integers(0, 50),
+    log_radii=st.lists(st.integers(-15, 1), min_size=1, max_size=5),
+    starts=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A starting best equal to the maximum: no pair beats it, so no index is reported.
+@example(family="glm", zoo_seed=3, log_radii=[0, -1], starts=(1.0, 1.0), seed=0)
+def test_pair_search_is_the_full_dense_loop(family, zoo_seed, log_radii, starts, seed):
+    if family == "ill-conditioned net":
+        model, theta = ill_conditioned_net()
+    else:
+        model, theta = model_zoo(zoo_seed)[family.removeprefix("softplus ")]
+    if family == "softplus glm":
+        model = GLMModel(model.X, model.y, softplus_linear(0.5))
+    rng = np.random.default_rng(seed)
+    # coincident, one ulp apart either way, then further out
+    points = [theta, theta.copy(), np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf)]
+    for log_radius in log_radii:
+        step = rng.standard_normal(model.p)
+        points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
+    points = np.array(points)
+    m = len(points)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    jacobians = [model.jacobian(pt) for pt in points]
+    devs = [spectral_norm(jacobians[i] - jacobians[j]) for i, j in pairs]
+    gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+    ratios = [dev / gap if gap > 0.0 else -np.inf for dev, gap in zip(devs, gaps)]
+    search = geometry._pair_search(points, pairs, *geometry._factor_stack(model, points),
+                                   model.p)
+    # One search serves both extrema, as in verify_assumptions, from a starting best
+    # anywhere from 0 to past the maximum.
+    for ratio, values, start in [(False, devs, starts[0]), (True, ratios, starts[1])]:
+        best = start * max(values)
+        assert search(ratio, best) == full_pair_loop(values, best)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +434,9 @@ def test_bench_glm_runs_few_dense_solves(monkeypatch):
 
 def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch):
     # Every bracket comes from the one stack of slope factors, and every dense
-    # Jacobian is built from it: two for each of the 64 visited pairs, one for
-    # each of the 2 dense SVDs and one for the row norms of the point that sets B.
+    # Jacobian is built from it: two for the one pair whose difference Gram
+    # bracket can set L, one for each of the 2 dense SVDs and one for the row
+    # norms of the point that sets B.
     model, theta0, radius, seed = bench_instance("net", 0)
     stacks = []
     factor_stack = geometry._factor_stack
@@ -388,8 +448,21 @@ def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch
     svds = count_calls(monkeypatch, np.linalg, "svd")
     solves = count_calls(monkeypatch, geometry, "spectral_norm")
     probe_spectrum(model, theta0, radius, samples=64, seed=seed)
-    assert (len(builds), len(svds), len(solves)) == (131, 2, 64)
+    assert (len(builds), len(svds), len(solves)) == (5, 2, 1)
     assert (len(factor_calls), stacks) == (65, [65])
+
+
+def test_bench_net_verify_brackets_only_pairs_that_can_win(monkeypatch):
+    # The Schur bounds rule out most of the 33 points' 528 pairs before their
+    # difference Grams are formed: one bracket is K's, the rest are pairs'.
+    model, theta0, radius, seed = bench_instance("net", 0)
+    b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
+    brackets = count_calls(monkeypatch, geometry, "gram_brackets")
+    solves = count_calls(monkeypatch, geometry, "spectral_norm")
+    builds = count_calls(monkeypatch, geometry, "kron_rows")
+    verify_assumptions(model, b, samples=32, seed=seed + 1)
+    assert len(brackets) < 528
+    assert (len(brackets), len(solves), len(builds)) == (38, 2, 4)
 
 
 def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
@@ -595,15 +668,15 @@ def test_verify_deviations_match_dense_pair_loop(family):
     points = [theta, *sample_ball(theta, b.radius, samples, np.random.default_rng(seed))]
     m = len(points)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    devs = dense_deviations(model, points, pairs)
+    jacobians = [model.jacobian(pt) for pt in points]
+    devs = [spectral_norm(jacobians[i] - jacobians[j]) for i, j in pairs]
     max_dev, worst, max_ratio = 0.0, None, 0.0
     for dev, (i, j) in zip(devs, pairs):
         if dev > max_dev:
             max_dev, worst = dev, (points[i], points[j])
         max_ratio = max(max_ratio, dev / float(np.linalg.norm(points[i] - points[j])))
-    assert rep.max_deviation == pytest.approx(max_dev, rel=1e-12, abs=0.0)
-    assert rep.lipschitz_estimate == pytest.approx(
-        max(b.lipschitz_L, max_ratio), rel=1e-12, abs=0.0)
+    assert rep.max_deviation == max_dev
+    assert rep.lipschitz_estimate == max(b.lipschitz_L, max_ratio)
     if worst is None:
         assert rep.worst_pair is None
     else:

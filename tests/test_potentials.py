@@ -297,7 +297,7 @@ def test_monitor_never_exits_on_planned_run():
     theta0 = np.zeros(2)
     bounds, plan = _probed_plan(m, theta0)
     traj = run_sgd(m, theta0, OptimConfig(eta=plan.eta, max_iters=300, seed=0))
-    report = neighborhood_monitor(traj, plan, theta0, bounds.alpha)
+    report = neighborhood_monitor(traj, plan, bounds.alpha)
     assert report.first_exit_half is None
     assert report.first_exit_full is None
     assert "never" in report.to_text()
@@ -309,7 +309,7 @@ def test_monitor_reports_exit_for_oversized_step():
     theta0 = rng.standard_normal(8) * 0.1
     bounds, plan = _probed_plan(m, theta0)
     traj = run_sgd(m, theta0, OptimConfig(eta=5.0, max_iters=400, seed=1))
-    report = neighborhood_monitor(traj, plan, theta0, bounds.alpha)
+    report = neighborhood_monitor(traj, plan, bounds.alpha)
     assert report.first_exit_half is not None
 
 
@@ -319,7 +319,7 @@ def test_monitor_requires_stride_one():
     traj = run_sgd(m, np.ones(2), OptimConfig(eta=plan.eta, max_iters=20, seed=0,
                                               record_every=5))
     with pytest.raises(ValueError):
-        neighborhood_monitor(traj, plan, np.ones(2), bounds.alpha)
+        neighborhood_monitor(traj, plan, bounds.alpha)
 
 
 def test_exit_fraction_bounded_on_glm_runs():
@@ -385,7 +385,7 @@ def test_vectorized_ball_verdicts_match_row_scan(rows, nu, misfit0, alpha):
     )
     half, full = _scan_exits(dist, misfit, nu, misfit0, alpha)
     plan = TheoryPlan(radius_R=1.0, eta=0.1, rate=0.5, regime="bounded", lam=0.5, nu=nu)
-    report = neighborhood_monitor(traj, plan, np.zeros(1), alpha)
+    report = neighborhood_monitor(traj, plan, alpha)
     assert report.first_exit_half == (None if half is None else 3 * half)
     assert report.first_exit_full == (None if full is None else 3 * full)
     assert sgd_run_survives(traj, nu, alpha) == (half is None)
