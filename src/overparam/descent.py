@@ -444,6 +444,8 @@ def local_pl_check(
     (one forward pass a point for a loss from ``model_loss``)."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     points = probe_points(center, radius, samples, seed)
     min_slack = math.inf
     worst = points[0]

@@ -123,7 +123,7 @@ def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
 
     With lam = eigvalsh(G) ascending, the singular values ``np.linalg.svd``
     returns, ascending, lie in [lower, upper]; ``spectral_norm`` of a
-    difference is at most upper[-1]; row r of
+    difference lies in [lower[-1], upper[-1]]; row r of
     ``np.linalg.norm(J, axis=1)`` is at most row_upper[r]. With u = eps / 2,
     T = trace(G) and Lam = max(lam[-1], 0):
 
@@ -145,7 +145,8 @@ def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
       a relative (p + 3) u / 2, and ||J|| <= (1 + (p + 4) u) sqrt(T);
     b covers these and the brackets' own roundings, for (n + p)^2 u far below
     1 (any model under DENSE_SVD_ENTRY_CAP). b is slack beyond the derived
-    error, so an upper bracket exceeds a positive dense value strictly.
+    error, so an upper bracket exceeds a positive dense value strictly, and a
+    lower bracket is at most it.
 
     K is the Gram of the "Jacobian" X (F = 1), so its upper[-1] is at least
     ||X|| (1 + (2 n p + 14) u). Schur's product theorem gives ||J*_a - J*_b|| <=
@@ -167,13 +168,15 @@ def _dense_slack(n: int, p: int, scale: float | Array) -> float | Array:
 
 
 def _exact_max(upper: Array, evaluate: Callable[[int], float], best: float = 0.0,
-               refine: Callable[[int], float] | None = None) -> tuple[float, int | None]:
+               refine: Callable[[int, float], float] | None = None) -> tuple[float, int | None]:
     """max(best, evaluate(i) over all i) and the lowest i attaining it above best.
 
-    upper[i] and refine(i), a costlier second bound, exceed evaluate(i) wherever
-    evaluate(i) > best can hold. Candidates are taken in decreasing order of bound,
-    each re-queued once on refine(i) before its evaluation, until none left can beat
-    the best so far: value and index are a full loop's (strict `>`) bit for bit.
+    upper[i] exceeds evaluate(i) wherever evaluate(i) > best can hold. So does
+    refine(i, best), a costlier second bound given the best so far, or it is at most
+    best for a candidate proven unable to set or tie the result. Candidates are taken
+    in decreasing order of bound, each re-queued once on refine(i, best) before its
+    evaluation, until none left can beat the best so far: value and index are a full
+    loop's (strict `>`) bit for bit.
     """
     queue = [(-float(u), i, refine is None) for i, u in enumerate(upper)]
     heapq.heapify(queue)
@@ -181,7 +184,7 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float], best: float = 0.0
     while queue and -queue[0][0] > best:
         _, i, refined = heapq.heappop(queue)
         if not refined:
-            heapq.heappush(queue, (-refine(i), i, True))
+            heapq.heappush(queue, (-refine(i, best), i, True))
         elif (value := evaluate(i)) > best or (value == best and arg is not None and i < arg):
             best, arg = value, i
     return best, arg
@@ -239,21 +242,73 @@ def _pair_bounds(factors: Array, K: Array, same: Array, traces: Array,
     return np.where(same[first] == same[second], 0.0, bounds)
 
 
+def _cholesky_below(G: Array, s: float) -> bool:
+    """True only if lambda_max(G) < s, for a symmetric n x n G with a nonnegative
+    diagonal, taken exactly as stored: one Cholesky of A = fl(sigma I - G),
+    sigma = fl(s - c), c = 2 (n (n + 3) + 1) u s, as in Rump, "Verification of
+    positive definiteness" (BIT 46, 2006).
+
+    - A Cholesky that completes gives R^T R = A + dA, R with a positive diagonal and
+      |dA| <= g |R^T| |R|, g = gamma_{n+1} (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., Thm 10.3), so ||dA|| <= g ||R||_F^2 =
+      g tr(A + dA) <= g tr(A) / (1 - g), and lambda_min(A) > -g tr(A) / (1 - g).
+    - Only A's diagonal rounds. Each computed entry is positive (a pivot is the entry
+      less a sum of squares) and within u / (1 - u) of itself of sigma - G_rr, so
+      ||A - (sigma I - G)|| <= u tr(A) / (1 - u), and tr(A) <= (1 + u) n sigma.
+    So lambda_max(G) < (1 + (1 + u) n h) sigma, h = g / (1 - g) + u / (1 - u), about
+    (n + 2) u. c is over twice (n h + u) s, which covers this, the roundings of c and
+    sigma, and one more rounding per entry in a blocked factorization that
+    multiplies by reciprocals.
+    """
+    n = len(G)
+    A = -G
+    A[np.diag_indices(n)] += s - 2 * (n * (n + 3) + 1) * _U * s
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _ratio_below(G: Array, scale: float, p: int, limit: float, over: float) -> bool:
+    """True only if ``spectral_norm(J_i - J_j) / over < limit`` as computed (over > 0),
+    for the difference Gram G = (D D^T) * K of J_i - J_j at ``gram_brackets``' scale,
+    by one ``_cholesky_below`` of G at
+
+        s = (t - b)^2 - (p + 4) u T,   t = fl(limit over) (1 - 8 u),
+
+    T = trace(G) and b = ``_dense_slack`` at that scale; False when t <= b. Let J*
+    have the exact rows of the difference, as in ``gram_brackets``:
+    - lambda_max(J* J*^T) <= lambda_max(G) + (p + 4) u T (forming G);
+    - if the test passes, T <= n lambda_max(G) < n s, so (p + 4) u T is far below s
+      and s is computed within a relative 5 u: ||J*|| < (1 + 2.5 u)(t - b);
+    - the dense value is below ||J*|| + b, so below (1 + 2.5 u) t, and
+      t <= (1 - 5.9 u) limit over: dividing it by over, which rounds up by at most
+      a relative u, gives below limit.
+    """
+    t = limit * over * (1.0 - 8.0 * _U)
+    b = _dense_slack(G.shape[0], p, scale)
+    return t > b and _cholesky_below(G, (t - b) ** 2 - (p + 4) * _U * np.trace(G))
+
+
 def _pair_search(points: Array, pairs: list[tuple[int, int]], factors: Array, X: Array,
                  K: Array, same: Array, traces: Array, p: int) -> Callable[..., tuple]:
     """search(ratio, best=0.0): ``_exact_max`` of the ``spectral_norm`` of J_i - J_j over
-    pairs[k] = (i, j), divided by ||points[i] - points[j]|| when ratio (coincident points
-    skipped), bounded by ``_pair_bounds`` and refined by the difference Gram's bracket
-    (``gram_brackets``); brackets and dense values are cached across searches."""
+    pairs[k] = (i, j), divided by over[k] = ||points[i] - points[j]|| when ratio
+    (coincident points skipped), else by 1, bounded by ``_pair_bounds``.
+
+    refine(k, best) forms the difference Gram once and first tries ``_ratio_below`` at
+    max(best, floor); only a pair it cannot certify below that is bracketed
+    (``gram_brackets``), and the bracket's upper[-1] / over[k] is its refined bound.
+    floor is the search's largest lower[-1] / over[k] over the brackets it has used.
+    lower[-1] is at most the dense value and division rounds monotonically, so the
+    floor is at most one pair's ratio as evaluated: a pair certified below it can
+    neither set nor tie the result. Brackets and dense values are cached across
+    searches; threshold tests depend on the threshold, so they are not.
+    """
     bounds = _pair_bounds(factors, K, same, traces, pairs, p)
     gaps = np.array([float(np.linalg.norm(points[i] - points[j])) for i, j in pairs])
-
-    @cache
-    def bracket(k: int) -> float:
-        i, j = pairs[k]
-        D = factors[i] - factors[j]
-        G = (D @ D.T) * K
-        return gram_brackets(G, np.trace(G) + traces[i] + traces[j], p)[1][-1]
+    brackets: dict[int, tuple[float, float]] = {}
 
     @cache
     def deviation(k: int) -> float:
@@ -263,8 +318,24 @@ def _pair_search(points: Array, pairs: list[tuple[int, int]], factors: Array, X:
     def search(ratio: bool, best: float = 0.0) -> tuple[float, int | None]:
         over = gaps if ratio else np.ones(len(pairs))  # x / 1.0 == x
         keys = np.divide(bounds, over, out=np.full(len(pairs), -np.inf), where=over > 0.0)
-        return _exact_max(keys, lambda k: float(deviation(k) / over[k]), best,
-                          lambda k: float(bracket(k) / over[k]))
+        floor = 0.0
+
+        def refine(k: int, best: float) -> float:
+            nonlocal floor
+            if k not in brackets:
+                i, j = pairs[k]
+                D = factors[i] - factors[j]
+                G = (D @ D.T) * K
+                scale = np.trace(G) + traces[i] + traces[j]
+                if _ratio_below(G, scale, p, max(best, floor), over[k]):
+                    return -np.inf
+                lower, upper, _ = gram_brackets(G, scale, p)
+                brackets[k] = lower[-1], upper[-1]
+            lower, upper = brackets[k]
+            floor = max(floor, float(lower / over[k]))
+            return float(upper / over[k])
+
+        return _exact_max(keys, lambda k: float(deviation(k) / over[k]), best, refine)
 
     return search
 
@@ -464,6 +535,8 @@ def verify_assumptions(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     check_probeable(model)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
     pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]

@@ -453,6 +453,15 @@ def test_local_pl_check_nonconvex_probe_defined_mu():
     assert rep.passed
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_local_pl_check_refuses_fewer_than_one_sample(samples):
+    calls = []
+    loss = GeneralLoss(value=lambda th: calls.append(1) or 0.5 * float(th @ th), grad=lambda th: th)
+    with pytest.raises(ValueError, match=rf"samples must be >= 1, got {samples}$"):
+        local_pl_check(loss, np.zeros(3), radius=1.0, mu=1.0, samples=samples, seed=0)
+    assert calls == []
+
+
 def test_local_pl_check_on_a_model_loss_runs_one_forward_pass_a_point(monkeypatch):
     rng = np.random.default_rng(5)
     model = GLMModel(rng.standard_normal((20, 60)), rng.standard_normal(20), tanh_linear(0.3))

@@ -383,8 +383,96 @@ def test_gram_brackets_hold_the_dense_values(family, zoo_seed, log_radii, log_sc
         for j in range(i + 1, len(points)):
             D = factors[i] - factors[j]
             G = (D @ D.T) * K
-            upper = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)[1][-1]
-            assert spectral_norm(jacobians[i] - jacobians[j]) <= upper
+            lower, upper, _ = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)
+            assert lower[-1] <= spectral_norm(jacobians[i] - jacobians[j]) <= upper[-1]
+
+
+def hadamard(k):
+    H = np.ones((1, 1))
+    for _ in range(k):
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_n=st.integers(0, 5),
+    weights=st.lists(st.integers(0, 9), min_size=32, max_size=32),
+    rank_one=st.booleans(),
+    ulps=st.integers(0, 4),
+)
+# The singular nI - ones((n, n)) at an eigenvalue of exactly n.
+@example(log_n=5, weights=[1] + [0] * 31, rank_one=False, ulps=0)
+def test_cholesky_threshold_test_holds_at_an_exact_eigenvalue(log_n, weights, rank_one, ulps):
+    # Integer Grams whose eigenvalues are exact: H^T diag(w) H has the eigenvalues n w
+    # (H H^T = n I), and v v^T the one eigenvalue |v|^2. A threshold within a few ulps
+    # of the largest eigenvalue leaves the test only its own rounding margin.
+    n = 2**log_n
+    w = np.array(weights[:n], dtype=float)
+    if rank_one:
+        v = w - 4.0
+        G, top = np.outer(v, v), float(v @ v)
+    else:
+        H = hadamard(log_n)
+        G, top = H.T @ (w[:, None] * H), float(n * w.max())
+    thresholds = [top, top]
+    for _ in range(ulps):
+        thresholds = [np.nextafter(thresholds[0], -np.inf), np.nextafter(thresholds[1], np.inf)]
+    for s in thresholds:
+        if geometry._cholesky_below(G, s):
+            assert top < s
+    assert geometry._cholesky_below(G, 2.0 * top + 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["linear", "glm", "lowrank", "net", "ill-conditioned net",
+                            "softplus glm"]),
+    zoo_seed=st.integers(0, 50),
+    log_radii=st.lists(st.integers(-15, 1), min_size=1, max_size=3),
+    log_scale=st.integers(-2, 2),
+    ulps=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_threshold_test_certifies_only_pairs_below_the_threshold(family, zoo_seed, log_radii,
+                                                                 log_scale, ulps, seed):
+    # The search's refine step prunes pair (i, j) when ``_ratio_below`` certifies its
+    # evaluated value, spectral_norm(J_i - J_j) / over, below a limit. Limits at that
+    # value, a few ulps either side and up to its upper bracket, for over = 1 and the
+    # points' gap; at twice the upper bracket every pair is certified.
+    if family == "ill-conditioned net":
+        model, theta = ill_conditioned_net()
+    else:
+        model, theta = model_zoo(zoo_seed)[family.removeprefix("softplus ")]
+    if family == "softplus glm":
+        model = GLMModel(model.X, model.y, softplus_linear(0.5))
+    rng = np.random.default_rng(seed)
+    theta = theta * 10.0**log_scale
+    # coincident, one ulp apart either way, then further out
+    points = [theta, theta.copy(), np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf)]
+    for log_radius in log_radii:
+        step = rng.standard_normal(model.p)
+        points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
+    factors, X, K, same, traces = geometry._factor_stack(model, np.array(points))
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            D = factors[i] - factors[j]
+            G = (D @ D.T) * K
+            scale = np.trace(G) + traces[i] + traces[j]
+            upper = gram_brackets(G, scale, model.p)[1][-1]
+            dev = spectral_norm(kron_rows(factors[i], X) - kron_rows(factors[j], X))
+            gap = float(np.linalg.norm(points[i] - points[j]))
+            for over in [1.0, gap] if gap > 0.0 else [1.0]:
+                value = dev / over
+                near = [value, value]
+                for _ in range(ulps):
+                    near = [np.nextafter(near[0], -np.inf), np.nextafter(near[1], np.inf)]
+                top = float(upper / over)
+                limits = [value, *near, *(value + f * (top - value) for f in (0.5, 0.9)), top]
+                for limit in limits:
+                    if geometry._ratio_below(G, scale, model.p, limit, over):
+                        assert value < limit
+                assert geometry._ratio_below(G, scale, model.p, 2.0 * top, over)
 
 
 def bench_instance(family, data_seed):
@@ -454,7 +542,8 @@ def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch
 
 def test_bench_net_verify_brackets_only_pairs_that_can_win(monkeypatch):
     # The Schur bounds rule out most of the 33 points' 528 pairs before their
-    # difference Grams are formed: one bracket is K's, the rest are pairs'.
+    # difference Grams are formed, and threshold tests most of the rest: one
+    # bracket is K's, the rest are pairs'.
     model, theta0, radius, seed = bench_instance("net", 0)
     b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
     brackets = count_calls(monkeypatch, geometry, "gram_brackets")
@@ -462,7 +551,31 @@ def test_bench_net_verify_brackets_only_pairs_that_can_win(monkeypatch):
     builds = count_calls(monkeypatch, geometry, "kron_rows")
     verify_assumptions(model, b, samples=32, seed=seed + 1)
     assert len(brackets) < 528
-    assert (len(brackets), len(solves), len(builds)) == (38, 2, 4)
+    assert (len(brackets), len(solves), len(builds)) == (5, 2, 4)
+
+
+def test_bench_glm_verify_brackets_only_pairs_that_can_win(monkeypatch):
+    # The Schur bounds rule out none of the 33 points' 528 pairs, but threshold tests
+    # against the certified floor rule out all but five: one bracket is K's, the rest
+    # are pairs'. Every pair is tested or bracketed in each of the two searches.
+    model, theta0, radius, seed = bench_instance("glm", 0)
+    b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
+    brackets = count_calls(monkeypatch, geometry, "gram_brackets")
+    solves = count_calls(monkeypatch, geometry, "spectral_norm")
+    tests = count_calls(monkeypatch, np.linalg, "cholesky")
+    verify_assumptions(model, b, samples=32, seed=seed + 1)
+    assert (len(brackets), len(solves), len(tests)) == (6, 1, 557)
+
+
+def test_lowrank_probe_brackets_few_pairs(monkeypatch):
+    # X = ones((n, 1)) here, so the Schur bound prunes none of the 2,080 pairs; the
+    # threshold tests leave one pair's bracket besides the 65 points' and K's.
+    model, theta0 = cli.lowrank_instance(50, 0, d=100, r=4)
+    brackets = count_calls(monkeypatch, geometry, "gram_brackets")
+    solves = count_calls(monkeypatch, geometry, "spectral_norm")
+    tests = count_calls(monkeypatch, np.linalg, "cholesky")
+    probe_spectrum(model, theta0, 1.0, samples=64, seed=0)
+    assert (len(brackets), len(solves), len(tests)) == (67, 1, 2079)
 
 
 def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
@@ -624,6 +737,16 @@ def test_verify_capacity_refused_before_any_jacobian(monkeypatch):
     with pytest.raises(CapacityError):
         verify_assumptions(m, make_bounds(1.0, 1.0, n=2001, p=2001), samples=4, seed=0)
     assert factor_calls == [] and builds == []
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_refuses_fewer_than_one_sample_before_any_factor(monkeypatch, samples):
+    model, theta = model_zoo(0)["glm"]
+    b = probe_spectrum(model, theta, 1.0, samples=4, seed=0)
+    factor_calls = count_calls(monkeypatch, model, "factors")
+    with pytest.raises(ValueError, match=rf"samples must be >= 1, got {samples}$"):
+        verify_assumptions(model, b, samples=samples, seed=1)
+    assert factor_calls == []
 
 
 def test_verify_linear_bounded_holds():
