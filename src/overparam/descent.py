@@ -7,9 +7,11 @@ loss under a local gradient-dominance condition. Each step of the two
 least-squares runs evaluates the model's forward pass once: the residual
 measured for the misfit column is the one the next step pulls back through
 the Jacobian (``Model.gradient(theta, r)``). Beyond that, a step takes the
-dot-product norms (``models.vector_norm``) of r, the step and theta - theta0;
-the model checks theta once per call. A single run is strictly sequential;
-independent runs may execute concurrently and finished trajectories are immutable.
+dot-product norms (``models.vector_norm``) of r and the step; the model
+checks theta once per call. Recorded rows are kept in numpy blocks, whose
+distances to theta0 and potentials are evaluated a block at a time with each
+row's own bits. A single run is strictly sequential; independent runs may
+execute concurrently and finished trajectories are immutable.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ _COLUMNS = (
 )
 TRAJECTORY_HEADER = ",".join(column for column, _ in _COLUMNS)
 _CSV_BLOCK_ROWS = 1024
+# A CSV row, and one whose NaN sgd_potential (column 7) prints as an empty field.
+_CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
+_CSV_BLANK_ROW = ",".join(["%.17g"] * 7 + [""] + ["%.17g"] * 2) + "\n"
+_BLOCK_ROWS = 64  # recorded rows a block
+# Entries of the largest (rows, K, p) anchor difference formed at once (1 MB).
+_ANCHOR_ENTRY_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -121,15 +129,13 @@ class Trajectory:
         stream.write(TRAJECTORY_HEADER + "\n")
         if self.norm_dist_is_raw:
             stream.write("# norm_dist holds raw dist_init (theta0 has zero norm)\n")
-        # Format a block of rows at a time, column by column, so the cells held
-        # at once stay small next to the trajectory itself.
+        # Format a block of rows at a time, so the values held at once stay small
+        # next to the trajectory itself; "%.17g" % x is f"{x:.17g}", bit for bit.
         for first in range(0, len(self), _CSV_BLOCK_ROWS):
-            cells = []
-            for _, name in _COLUMNS:
-                blank = name == "sgd_potential"
-                values = getattr(self, name)[first:first + _CSV_BLOCK_ROWS].tolist()
-                cells.append(["" if blank and math.isnan(v) else f"{v:.17g}" for v in values])
-            stream.writelines(",".join(row) + "\n" for row in zip(*cells))
+            rows = zip(*(getattr(self, name)[first:first + _CSV_BLOCK_ROWS].tolist()
+                         for _, name in _COLUMNS))
+            stream.writelines(_CSV_BLANK_ROW % (row[:7] + row[8:]) if math.isnan(row[7])
+                              else _CSV_ROW % row for row in rows)
         stream.write(f"# termination={self.termination}\n")
         stream.write(f"# eta={_fmt(self.eta)}\n")
         stream.write(f"# misfit0={_fmt(self.misfit0)}\n")
@@ -194,9 +200,57 @@ def _fmt(x: float) -> str:
 
 def _column_fields(columns: Iterable) -> dict[str, Array]:
     """The Trajectory column fields from value sequences in CSV column order."""
-    fields = {name: np.array(values, dtype=float) for (_, name), values in zip(_COLUMNS, columns)}
+    fields = {name: np.asarray(values, dtype=float) for (_, name), values in zip(_COLUMNS, columns)}
     fields["iters"] = fields["iters"].astype(int)
     return fields
+
+
+class _Rows:
+    """A run's recorded rows: scalars and theta go into a block, whose dist_init
+    and potential columns are evaluated when it fills and at the end."""
+
+    def __init__(self, start: Array, potential, anchored, keep_thetas: bool):
+        self.start, self.potential, self.anchored = start, potential, anchored
+        self.keep_thetas = keep_thetas
+        self.scalars = np.empty((5, _BLOCK_ROWS))  # iter, loss, misfit, path_len, step_norm
+        self.thetas = np.empty((_BLOCK_ROWS, start.size))
+        self.count = 0
+        self.last = -1  # iteration of the latest row
+        self.blocks: list[Array] = []  # (8, rows): iter through sgd_potential
+        self.theta_blocks: list[Array] = []
+
+    def add(self, tau: int, loss: float, misfit: float, path_len: float, step_norm: float,
+            theta: Array) -> None:
+        if tau == self.last:
+            return
+        self.last = tau
+        self.scalars[:, self.count] = tau, loss, misfit, path_len, step_norm
+        self.thetas[self.count] = theta
+        self.count += 1
+        if self.count == _BLOCK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.count == 0:
+            return
+        iters, loss, misfit, path_len, step_norm = self.scalars[:, :self.count]
+        thetas = self.thetas[:self.count]
+        D = thetas - self.start
+        dist = np.sqrt(np.vecdot(D, D))  # each row's vector_norm, bit for bit
+        sgd = np.full(self.count, math.nan) if self.anchored is None \
+            else self.anchored(thetas, misfit)
+        self.blocks.append(np.stack([iters, loss, misfit, dist, path_len, step_norm,
+                                     self.potential(dist, misfit, path_len), sgd]))
+        if self.keep_thetas:
+            self.theta_blocks.append(thetas)
+            self.thetas = np.empty_like(self.thetas)
+        self.count = 0
+
+    def columns(self) -> tuple[Array, Array | None]:
+        """The (8, rows) columns iter through sgd_potential, and the recorded thetas."""
+        self.flush()
+        thetas = np.concatenate(self.theta_blocks) if self.keep_thetas else None
+        return np.concatenate(self.blocks, axis=1), thetas
 
 
 def _descend(
@@ -204,18 +258,20 @@ def _descend(
     cfg: OptimConfig,
     measure: Callable[[Array], tuple[float, float, Array | None]],
     direction: Callable[[int, Array, Array | None], Array],
-    potential: Callable[[float, float, float], float],
-    anchored: Callable[[Array, float], float] | None = None,
+    potential: Callable[[Array, Array, Array], Array],
+    anchored: Callable[[Array, Array], Array] | None = None,
     stationary_exit: bool = True,
 ) -> Trajectory:
     """The loop of every run: theta <- theta - eta * direction(tau, theta, r).
 
     measure(theta) returns (loss, misfit, r), where r is the residual at theta
     (None for a general loss) and is handed to the direction of the next step,
-    so theta is evaluated once per step. potential(dist_init, misfit, path_len)
-    fills the gd_potential column and anchored(theta, misfit) the
-    sgd_potential column. Overflow raises no warning: a non-finite loss ends
-    the run as "non_finite" with abort_iter set.
+    so theta is evaluated once per step. A block of recorded rows gets its
+    gd_potential column from potential(dist_init, misfit, path_len) and its
+    sgd_potential from anchored(thetas, misfit), each taking the block's
+    columns (and (rows, p) thetas) and giving every row its own bits.
+    Overflow raises no warning: a non-finite loss ends the run as
+    "non_finite" with abort_iter set.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.array(theta0, dtype=float)
@@ -223,20 +279,8 @@ def _descend(
         loss, misfit, r = measure(theta)
         misfit0 = misfit
         path_len = step_norm = 0.0
-        rows: list[tuple] = []  # iter through sgd_potential, one tuple per recorded iterate
-        thetas: list[Array] | None = [] if cfg.record_thetas else None
-
-        def record(tau: int) -> None:
-            if rows and rows[-1][0] == tau:
-                return
-            sgd = math.nan if anchored is None else anchored(theta, misfit)
-            dist = vector_norm(theta - start)
-            rows.append((tau, loss, misfit, dist, path_len, step_norm,
-                         potential(dist, misfit, path_len), sgd))
-            if thetas is not None:
-                thetas.append(theta.copy())
-
-        record(0)
+        rows = _Rows(start, potential, anchored, cfg.record_thetas)
+        rows.add(0, loss, misfit, path_len, step_norm, theta)
         termination = "max_iters"
         abort_iter = None
         for tau in range(1, cfg.max_iters + 1):
@@ -245,7 +289,7 @@ def _descend(
                 break
             g = direction(tau, theta, r)
             if stationary_exit and not np.any(g):
-                record(tau - 1)
+                rows.add(tau - 1, loss, misfit, path_len, step_norm, theta)
                 termination = "stationary"
                 break
             step = cfg.eta * g
@@ -255,7 +299,7 @@ def _descend(
             loss, misfit, r = measure(theta)
             terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
             if tau % cfg.record_every == 0 or terminal:
-                record(tau)
+                rows.add(tau, loss, misfit, path_len, step_norm, theta)
             if not math.isfinite(loss):
                 termination = "non_finite"
                 abort_iter = tau
@@ -264,7 +308,7 @@ def _descend(
                 termination = "tol"
                 break
         # norm_misfit and norm_dist; dividing by 1.0 leaves a column bit-for-bit unchanged.
-        columns = np.array(rows, dtype=float).T
+        columns, thetas = rows.columns()
         theta0_norm = float(np.linalg.norm(start))
         return Trajectory(
             **_column_fields([*columns, columns[2] / (misfit0 if misfit0 > 0 else 1.0),
@@ -277,7 +321,7 @@ def _descend(
             record_every=cfg.record_every,
             norm_dist_is_raw=theta0_norm == 0.0,
             abort_iter=abort_iter,
-            thetas=None if thetas is None else np.array(thetas),
+            thetas=thetas,
         )
 
 
@@ -288,7 +332,7 @@ def _measure_residual(model: Model, theta: Array) -> tuple[float, float, Array]:
     return 0.5 * misfit**2, misfit, r
 
 
-def _misfit_potential(cfg: OptimConfig) -> Callable[[float, float, float], float]:
+def _misfit_potential(cfg: OptimConfig) -> Callable[[Array, Array, Array], Array]:
     """The least-squares runs' gd_potential: misfit + potential_zeta * path_len."""
     return lambda dist, misfit, path_len: misfit + cfg.potential_zeta * path_len
 
@@ -315,6 +359,14 @@ def sgd_index_stream(seed: int, n: int, length: int) -> Array:
     return rng.integers(0, n, size=length)
 
 
+def _sgd_indices(seed: int, n: int):
+    """sgd_index_stream(seed, n, ...) as an iterator, drawn _BLOCK_ROWS at a time
+    (the generator's values do not depend on the draw sizes)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    while True:
+        yield from rng.integers(0, n, size=_BLOCK_ROWS).tolist()
+
+
 def run_sgd(
     model: Model,
     theta0: Array,
@@ -325,28 +377,35 @@ def run_sgd(
     """Single-sample stochastic descent with a seeded, replayable index stream.
 
     Each step draws gamma uniformly from {0..n-1} and applies
-    theta <- theta - eta * r_gamma * J_gamma^T (no 1/n scaling). When an
-    anchor set and alpha are supplied, the anchored potential
-    12*misfit + (alpha/K) * sum_l ||theta - p_l|| is recorded per row.
-    Identical seeds reproduce the trajectory bit for bit.
+    theta <- theta - eta * r_gamma * J_gamma^T (no 1/n scaling); gamma is
+    drawn a block at a time, not max_iters at once. When an anchor set and
+    alpha are supplied, the anchored potential
+    12*misfit + (alpha/K) * sum_l ||theta - p_l|| is recorded per row,
+    evaluated for a block of rows at once. Identical seeds reproduce the
+    trajectory bit for bit.
     """
     if cfg.seed is None:
         raise ValueError("SGD requires cfg.seed")
     if anchors is not None and alpha is None:
         raise ValueError("anchored potential recording needs alpha")
-    indices = sgd_index_stream(cfg.seed, model.n, cfg.max_iters)
+    indices = _sgd_indices(cfg.seed, model.n)
 
-    def anchored_potential(theta: Array, misfit: float) -> float:
-        D = anchors.anchors - theta
-        dists = np.sqrt(np.add.reduce(D * D, axis=1))  # np.linalg.norm(D, axis=1), bit for bit
-        return 12.0 * misfit + (alpha / anchors.K) * float(dists.sum())
+    def anchored_potential(thetas: Array, misfits: Array) -> Array:
+        # (rows, K, p) differences of at most _ANCHOR_ENTRY_CAP entries; each
+        # row's np.linalg.norm(anchors - theta, axis=1).sum(), bit for bit.
+        sums = np.empty(len(thetas))
+        rows = max(1, _ANCHOR_ENTRY_CAP // anchors.anchors.size)
+        for first in range(0, len(thetas), rows):
+            D = anchors.anchors - thetas[first:first + rows, None, :]
+            D *= D
+            sums[first:first + rows] = np.sqrt(np.add.reduce(D, axis=2)).sum(axis=1)
+        return 12.0 * misfits + (alpha / anchors.K) * sums
 
     # One sample's gradient can vanish at a point that is not stationary for
     # the full loss, so a zero step does not end the run.
     return _descend(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
-        direction=lambda tau, theta, r: model.per_sample_gradient(
-            theta, int(indices[tau - 1]), r),
+        direction=lambda tau, theta, r: model.per_sample_gradient(theta, next(indices), r),
         potential=_misfit_potential(cfg),
         anchored=None if anchors is None else anchored_potential,
         stationary_exit=False,

@@ -1,11 +1,15 @@
 import io
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from overparam import descent
 from overparam.bounds import make_lower_bound_instance
 from overparam.descent import (
     GeneralLoss,
@@ -163,33 +167,47 @@ def _steady_config(model, theta, steps, **extra):
     return OptimConfig(eta=eta, max_iters=steps, **extra)
 
 
-def hand_rolled(model, theta0, cfg, direction, anchors=None, alpha=None):
+def hand_rolled(model, theta0, cfg, direction, anchors=None, alpha=None, mu=None):
     """The two-pass loop: measure the misfit, then direction(tau, theta) from scratch.
 
     Every norm is np.linalg.norm's; with anchors the sgd_potential column holds
-    12 * misfit + (alpha / K) * sum_l ||theta - p_l||.
+    12 * misfit + (alpha / K) * sum_l ||theta - p_l||. With mu the misfit
+    column holds sqrt(loss) and gd_potential sqrt(mu / 8) * dist + sqrt(loss),
+    as run_pl_gd records them. Rows are kept every cfg.record_every steps and
+    at max_iters; "thetas" holds the kept rows' iterates.
     """
+    def measure(th):
+        r = model.residual(th)
+        if mu is None:
+            misfit = float(np.linalg.norm(r))
+            return 0.5 * misfit**2, misfit
+        loss = 0.5 * float(r @ r)
+        return loss, math.sqrt(loss)
+
     theta = theta0.copy()
     theta0_norm = float(np.linalg.norm(theta0))
-    misfit0 = float(np.linalg.norm(model.residual(theta0)))
+    misfit0 = measure(theta0)[1]
     path_len = step_norm = 0.0
-    rows = []
+    rows, thetas = [], []
     for tau in range(cfg.max_iters + 1):
         if tau > 0:
             step = cfg.eta * direction(tau, theta)
             theta = theta - step
             step_norm = float(np.linalg.norm(step))
             path_len += step_norm
-        misfit = float(np.linalg.norm(model.residual(theta)))
+        loss, misfit = measure(theta)
         dist = float(np.linalg.norm(theta - theta0))
         sgd = np.nan
         if anchors is not None:
             dists = np.linalg.norm(anchors.anchors - theta, axis=1)
             sgd = 12.0 * misfit + (alpha / anchors.K) * float(dists.sum())
-        rows.append((tau, 0.5 * misfit**2, misfit, dist, path_len, step_norm,
-                     misfit + cfg.potential_zeta * path_len, sgd,
-                     misfit / misfit0, dist / theta0_norm))
-    return dict(zip(COLUMNS, np.array(rows).T)), theta
+        gd = misfit + cfg.potential_zeta * path_len if mu is None \
+            else math.sqrt(mu / 8.0) * dist + misfit
+        if tau % cfg.record_every == 0 or tau == cfg.max_iters:
+            rows.append((tau, loss, misfit, dist, path_len, step_norm, gd, sgd,
+                         misfit / misfit0, dist / theta0_norm))
+            thetas.append(theta)
+    return {**dict(zip(COLUMNS, np.array(rows).T)), "thetas": np.array(thetas)}, theta
 
 
 def assert_same_run(traj, columns, theta):
@@ -291,6 +309,165 @@ def test_lowrank_gd_never_builds_symmetrized_features():
     expected = ((model.Xs + model.Xs.transpose(0, 2, 1)) @ Theta).transpose(0, 2, 1)
     assert np.array_equal(model.jacobian(theta), expected.reshape(model.n, model.p))
     assert "Xs_sym" in vars(model)
+
+
+# ---------------------------------------------------------------------------
+# Rows recorded in blocks: the bits of a row at a time, across block boundaries
+# ---------------------------------------------------------------------------
+
+B = descent._BLOCK_ROWS
+KINDS = ("gd", "sgd", "sgd_anchored", "pl")
+
+
+def _kind(kind, model, theta):
+    """(run, reference): a run of `kind` from theta under a config, and the
+    two-pass loop's record of the same run."""
+    def gradient(tau, th):
+        return model.gradient(th)
+
+    if kind == "gd":
+        return (lambda cfg: run_gd(model, theta, cfg),
+                lambda cfg: hand_rolled(model, theta, cfg, gradient))
+    if kind == "pl":
+        return (lambda cfg: _run_pl_on_model_loss(model, theta, cfg),
+                lambda cfg: hand_rolled(model, theta, cfg, gradient, mu=1.0))
+    anchors = None
+    if kind == "sgd_anchored":
+        anchors = build_packing(theta, radius_Rp=2.0, epsilon=0.5, K=6, seed=1)
+
+    def reference(cfg):
+        indices = sgd_index_stream(cfg.seed, model.n, cfg.max_iters)
+        return hand_rolled(model, theta, cfg,
+                           lambda tau, th: model.per_sample_gradient(th, int(indices[tau - 1])),
+                           anchors=anchors, alpha=0.3)
+
+    return lambda cfg: run_sgd(model, theta, cfg, anchors=anchors, alpha=0.3), reference
+
+
+def assert_same_recording(traj, reference, record_thetas):
+    columns, theta_final = reference
+    assert_same_run(traj, columns, theta_final)
+    if record_thetas:
+        assert traj.thetas.flags.c_contiguous
+        assert np.array_equal(traj.thetas, columns["thetas"])
+    else:
+        assert traj.thetas is None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("record_thetas", [False, True])
+def test_rows_recorded_in_blocks_match_two_pass_loop_bitwise(kind, steps, record_every,
+                                                             record_thetas):
+    model, theta = model_zoo(6)["glm"]
+    cfg = _steady_config(model, theta, steps, seed=3, potential_zeta=0.5,
+                         record_every=record_every, record_thetas=record_thetas)
+    run, reference = _kind(kind, model, theta)
+    traj = run(cfg)
+    assert traj.termination == "max_iters"
+    assert_same_recording(traj, reference(cfg), record_thetas)
+
+
+@pytest.mark.parametrize("cap", [1, 6 * 9 * 5 + 1], ids=["row_by_row", "five_rows"])
+def test_anchored_potential_in_capped_sub_blocks_matches_two_pass_loop(cap, monkeypatch):
+    # K = 6 anchors in p = 9: sub-blocks of 1 and of 5 rows, the last one ragged
+    monkeypatch.setattr(descent, "_ANCHOR_ENTRY_CAP", cap)
+    model, theta = model_zoo(6)["glm"]
+    cfg = _steady_config(model, theta, 2 * B + 1, seed=3)
+    run, reference = _kind("sgd_anchored", model, theta)
+    assert_same_recording(run(cfg), reference(cfg), False)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_tol_exit_inside_a_block_matches_two_pass_loop(kind, record_every):
+    model, theta = model_zoo(6)["glm"]
+    cfg = _steady_config(model, theta, 2 * B + 1, seed=3, potential_zeta=0.5,
+                         record_every=record_every, record_thetas=True)
+    run, reference = _kind(kind, model, theta)
+    misfits = run(replace(cfg, record_every=1)).misfit[:B + B // 2 + 1]
+    stop = int(np.argmin(misfits))
+    assert B < stop < 2 * B
+    traj = run(replace(cfg, tol_misfit=misfits[stop]))
+    assert traj.termination == "tol" and int(traj.iters[-1]) == stop
+    assert_same_recording(traj, reference(replace(cfg, max_iters=stop)), True)
+
+
+@pytest.mark.parametrize("kind", ["gd", "sgd", "pl"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_non_finite_exit_after_a_block_matches_two_pass_loop(kind, record_every):
+    # theta grows by a factor g a step, so r @ r overflows once g^(2 tau) > 1.8e308:
+    # at tau = 96 for B = 64, inside the second block
+    g = 10.0 ** (154.2 / (B + B // 2))
+    model, theta = LinearModel(np.eye(1), np.zeros(1)), np.ones(1)
+    cfg = OptimConfig(eta=1.0 + g, max_iters=10 * B, seed=3, record_every=record_every,
+                      record_thetas=True)
+    run, reference = _kind(kind, model, theta)
+    traj = run(cfg)
+    assert traj.termination == "non_finite" and B < traj.abort_iter < 2 * B
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference(replace(cfg, max_iters=traj.abort_iter))
+    assert_same_recording(traj, expected, True)
+
+
+@pytest.mark.parametrize("kind", ["gd", "pl"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_stationary_exit_after_blocks_matches_two_pass_loop(kind, record_every):
+    # theta_1 shrinks exactly fourfold a step to the subnormal 2^-1074, which the
+    # 538th step takes to 0; the gradient then vanishes while the misfit stays 1
+    model = LinearModel(np.diag([1.0, 0.0]), np.array([0.0, 1.0]))
+    theta = np.array([1.0, 0.5])
+    cfg = OptimConfig(eta=0.75, max_iters=1000, record_every=record_every, record_thetas=True)
+    run, reference = _kind(kind, model, theta)
+    traj = run(cfg)
+    assert traj.termination == "stationary" and int(traj.iters[-1]) == 538
+    assert_same_recording(traj, reference(replace(cfg, max_iters=538)), True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.integers(1, 3 * B), record_every=st.integers(1, 5),
+       kind=st.sampled_from(["sgd", "sgd_anchored"]), record_thetas=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sgd_rows_recorded_in_blocks_match_two_pass_loop_property(steps, record_every, kind,
+                                                                  record_thetas, seed):
+    model, theta = model_zoo(7)["net"]
+    cfg = _steady_config(model, theta, steps, seed=seed, potential_zeta=0.5,
+                         record_every=record_every, record_thetas=record_thetas)
+    run, reference = _kind(kind, model, theta)
+    assert_same_recording(run(cfg), reference(cfg), record_thetas)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sgd_run_stopping_early_holds_no_storage_for_its_iteration_budget():
+    # 2,000,000 drawn indices alone take 16 MB; the run stops at tol after 35 steps
+    m = LinearModel(np.eye(1), np.zeros(1))
+    cfg = OptimConfig(eta=0.5, max_iters=2_000_000, tol_misfit=default_tolerance(m.y), seed=0)
+    traj, peak = _traced_peak(lambda: run_sgd(m, np.ones(1), cfg))
+    assert traj.termination == "tol" and len(traj) < 40
+    assert peak < 1 << 20
+
+
+def test_long_anchored_sgd_run_traces_a_few_megabytes():
+    # The benchmark's sgd-drift run: glm n=40 p=100, K=34 anchors, 20,000 steps.
+    # Its ten recorded columns take 1.6 MB; one tuple a row took 9.3 MB at peak.
+    rng = np.random.default_rng(0)
+    model = GLMModel(rng.standard_normal((40, 100)) / 10.0, rng.standard_normal(40),
+                     tanh_linear(0.3))
+    theta = 0.1 * rng.standard_normal(100)
+    anchors = build_packing(theta, radius_Rp=2.0, epsilon=0.5, K=34, seed=0)
+    cfg = OptimConfig(eta=0.1, max_iters=20_000, seed=0)
+    traj, peak = _traced_peak(lambda: run_sgd(model, theta, cfg, anchors=anchors, alpha=0.3))
+    assert traj.termination == "max_iters" and len(traj) == 20_001
+    assert peak < 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +745,18 @@ def _strided_run():
     return traj
 
 
+def _blocks_of_anchored_and_blank_rows():
+    # more than one recorder block, with NaN in every fifth sgd_potential
+    model, theta = model_zoo(6)["glm"]
+    run, _ = _kind("sgd_anchored", model, theta)
+    traj = run(_steady_config(model, theta, 2 * B + 1, seed=3))
+    blank = np.arange(len(traj)) % 5 == 2
+    return replace(traj, sgd_potential=np.where(blank, np.nan, traj.sgd_potential))
+
+
 @pytest.mark.parametrize("run", [_divergent_glm_run, _anchored_sgd_run, _stationary_run,
-                                 _strided_run], ids=lambda run: run.__name__.strip("_"))
+                                 _strided_run, _blocks_of_anchored_and_blank_rows],
+                         ids=lambda run: run.__name__.strip("_"))
 def test_trajectory_csv_matches_row_formatter(run):
     traj = run()
     buf = io.StringIO()
