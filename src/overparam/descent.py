@@ -271,7 +271,8 @@ def _descend(
     sgd_potential from anchored(thetas, misfit), each taking the block's
     columns (and (rows, p) thetas) and giving every row its own bits.
     Overflow raises no warning: a non-finite loss ends the run as
-    "non_finite" with abort_iter set.
+    "non_finite" with abort_iter set, and so does a step that overflows theta,
+    whose row records loss = misfit = inf without measuring it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.array(theta0, dtype=float)
@@ -296,7 +297,13 @@ def _descend(
             theta = theta - step
             step_norm = vector_norm(step)
             path_len += step_norm
-            loss, misfit, r = measure(theta)
+            # A finite step_norm bounds every step entry below sqrt(float max), about
+            # 1.3e154, so theta could overflow only from an entry already that close to
+            # the float64 maximum: theta is checked only when the norm is not finite.
+            if math.isfinite(step_norm) or np.isfinite(theta).all():
+                loss, misfit, r = measure(theta)
+            else:
+                loss = misfit = math.inf
             terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
             if tau % cfg.record_every == 0 or terminal:
                 rows.add(tau, loss, misfit, path_len, step_norm, theta)

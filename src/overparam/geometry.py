@@ -7,7 +7,6 @@ sampled points.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -153,6 +152,8 @@ def gram_brackets(G: Array, scale: float, p: int) -> tuple[Array, Array, Array]:
     max_r ||D_r|| ||X|| for D = F_a - F_b; ``_pair_bounds`` multiplies max_r ||D_r||
     by that bracket, whose relative slack covers rounding D, its row norms (k <= p
     entries) and the solver, and adds b at scale T_a + T_b for rounding J_a - J_b.
+    Only points and K are bracketed; the difference case is the analysis behind
+    ``_pair_bounds`` and the threshold test ``_ratio_below``.
     """
     n = G.shape[0]
     lam = np.linalg.eigvalsh(G)
@@ -168,24 +169,22 @@ def _dense_slack(n: int, p: int, scale: float | Array) -> float | Array:
 
 
 def _exact_max(upper: Array, evaluate: Callable[[int], float], best: float = 0.0,
-               refine: Callable[[int, float], float] | None = None) -> tuple[float, int | None]:
+               below: Callable[[int, float], bool] | None = None) -> tuple[float, int | None]:
     """max(best, evaluate(i) over all i) and the lowest i attaining it above best.
 
-    upper[i] exceeds evaluate(i) wherever evaluate(i) > best can hold. So does
-    refine(i, best), a costlier second bound given the best so far, or it is at most
-    best for a candidate proven unable to set or tie the result. Candidates are taken
-    in decreasing order of bound, each re-queued once on refine(i, best) before its
-    evaluation, until none left can beat the best so far: value and index are a full
-    loop's (strict `>`) bit for bit.
+    upper[i] exceeds evaluate(i) wherever evaluate(i) > best can hold, and below(i, best)
+    is True only if evaluate(i) < best. Candidates are taken in decreasing order of
+    bound, ties by index, until none left can beat the best so far; one that below
+    proves unable to set or tie the result is skipped, every other is evaluated: value
+    and index are a full loop's (strict `>`) bit for bit.
     """
-    queue = [(-float(u), i, refine is None) for i, u in enumerate(upper)]
-    heapq.heapify(queue)
     arg = None
-    while queue and -queue[0][0] > best:
-        _, i, refined = heapq.heappop(queue)
-        if not refined:
-            heapq.heappush(queue, (-refine(i, best), i, True))
-        elif (value := evaluate(i)) > best or (value == best and arg is not None and i < arg):
+    for i in np.argsort(-upper, kind="stable").tolist():
+        if upper[i] <= best:
+            break
+        if below is not None and below(i, best):
+            continue
+        if (value := evaluate(i)) > best or (value == best and arg is not None and i < arg):
             best, arg = value, i
     return best, arg
 
@@ -295,20 +294,12 @@ def _pair_search(points: Array, pairs: list[tuple[int, int]], factors: Array, X:
                  K: Array, same: Array, traces: Array, p: int) -> Callable[..., tuple]:
     """search(ratio, best=0.0): ``_exact_max`` of the ``spectral_norm`` of J_i - J_j over
     pairs[k] = (i, j), divided by over[k] = ||points[i] - points[j]|| when ratio
-    (coincident points skipped), else by 1, bounded by ``_pair_bounds``.
-
-    refine(k, best) forms the difference Gram once and first tries ``_ratio_below`` at
-    max(best, floor); only a pair it cannot certify below that is bracketed
-    (``gram_brackets``), and the bracket's upper[-1] / over[k] is its refined bound.
-    floor is the search's largest lower[-1] / over[k] over the brackets it has used.
-    lower[-1] is at most the dense value and division rounds monotonically, so the
-    floor is at most one pair's ratio as evaluated: a pair certified below it can
-    neither set nor tie the result. Brackets and dense values are cached across
-    searches; threshold tests depend on the threshold, so they are not.
+    (coincident points skipped), else by 1. Each pair is bounded (``_pair_bounds``),
+    then tested (``_ratio_below`` of its difference Gram at the best so far), then
+    evaluated densely; dense values are cached across searches.
     """
     bounds = _pair_bounds(factors, K, same, traces, pairs, p)
     gaps = np.array([float(np.linalg.norm(points[i] - points[j])) for i, j in pairs])
-    brackets: dict[int, tuple[float, float]] = {}
 
     @cache
     def deviation(k: int) -> float:
@@ -318,24 +309,14 @@ def _pair_search(points: Array, pairs: list[tuple[int, int]], factors: Array, X:
     def search(ratio: bool, best: float = 0.0) -> tuple[float, int | None]:
         over = gaps if ratio else np.ones(len(pairs))  # x / 1.0 == x
         keys = np.divide(bounds, over, out=np.full(len(pairs), -np.inf), where=over > 0.0)
-        floor = 0.0
 
-        def refine(k: int, best: float) -> float:
-            nonlocal floor
-            if k not in brackets:
-                i, j = pairs[k]
-                D = factors[i] - factors[j]
-                G = (D @ D.T) * K
-                scale = np.trace(G) + traces[i] + traces[j]
-                if _ratio_below(G, scale, p, max(best, floor), over[k]):
-                    return -np.inf
-                lower, upper, _ = gram_brackets(G, scale, p)
-                brackets[k] = lower[-1], upper[-1]
-            lower, upper = brackets[k]
-            floor = max(floor, float(lower / over[k]))
-            return float(upper / over[k])
+        def below(k: int, best: float) -> bool:
+            i, j = pairs[k]
+            D = factors[i] - factors[j]
+            G = (D @ D.T) * K
+            return _ratio_below(G, np.trace(G) + traces[i] + traces[j], p, best, over[k])
 
-        return _exact_max(keys, lambda k: float(deviation(k) / over[k]), best, refine)
+        return _exact_max(keys, lambda k: float(deviation(k) / over[k]), best, below)
 
     return search
 
@@ -359,8 +340,9 @@ def probe_spectrum(
     four are exact bound-ordered searches (``_exact_max``) from one
     ``_factor_stack``: alpha, beta and B by point brackets (``_point_brackets``),
     L by the pair search ``verify_assumptions`` uses too (``_pair_search``). A
-    dense evaluation runs only where a bracket can still set the extremum, once
-    per distinct factor or pair, on Jacobians built from the stack and dropped.
+    dense evaluation runs only where a bound can still set the extremum (and, for
+    a pair, the threshold test cannot rule it out), once per distinct factor or
+    pair, on Jacobians built from the stack and dropped.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")

@@ -114,6 +114,27 @@ def test_divergent_glm_run_checks_without_warnings(tmp_path):
     assert "distance_to_optimum_envelope,glm,inf,fail" in text
 
 
+@pytest.mark.parametrize("eta", ["1e300", "1e308"])
+@pytest.mark.parametrize("kind, exit_code", [("gd", EXIT_VIOLATION), ("sgd", EXIT_OK),
+                                             ("pl", EXIT_VIOLATION)])
+def test_overflowing_first_step_ends_the_run_non_finite(tmp_path, kind, exit_code, eta):
+    # At eta = 1e300 the first step overflows only the loss; at 1e308 it overflows
+    # theta itself. Both end the run as non_finite at iteration 1, its last row
+    # reading loss = misfit = inf, and neither is a parameter error.
+    text = (GLM_RUN.replace("kind = gd", f"kind = {kind}").replace("eta = auto", f"eta = {eta}")
+            + "optimizer.seed = 1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", write(tmp_path, "ovf.cfg", text), "--out", str(out),
+                     "--quiet"])
+    assert code == exit_code
+    traj = Trajectory.load(out / "trajectory.csv")
+    assert (traj.termination, traj.abort_iter) == ("non_finite", 1)
+    assert (traj.loss[-1], traj.misfit[-1]) == (np.inf, np.inf)
+    assert np.all(np.isfinite(traj.theta_final)) == (eta == "1e300")
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = write(tmp_path, "bad.cfg", "model.family = glm\nmodel.bogus = 1\n")
     assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG

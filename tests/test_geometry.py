@@ -193,7 +193,7 @@ def test_glm_probe_holds_few_jacobians(monkeypatch):
     # Every dense Jacobian is built from the factor stack and dropped after its
     # one evaluation: at most a pair's two are alive at once. Two for the dense
     # SVDs, one for the row norms of the point that sets B, and two for the one
-    # pair whose difference Gram bracket can set L.
+    # pair that the threshold tests leave to set L.
     model, theta = glm_probe_instance()
     live, calls, most = set(), [0], [0]
 
@@ -340,6 +340,39 @@ def test_pair_search_is_the_full_dense_loop(family, zoo_seed, log_radii, starts,
         assert search(ratio, best) == full_pair_loop(values, best)
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    cases=st.lists(st.tuples(st.integers(-3, 6), st.integers(0, 3), st.booleans()),
+                   max_size=12),
+    start=st.one_of(st.integers(-4, 7).map(float), st.just(-np.inf)),
+    with_below=st.booleans(),
+)
+def test_exact_max_is_the_full_loop(cases, start, with_below):
+    # Small integers make ties among values and among bounds common. Each case is
+    # (value, slack, prunable): the bound is value + slack, and equals the value only
+    # where the value cannot beat the start. below says True only for a prunable
+    # value under the best it is given, so it is sound.
+    values = [float(value) for value, _, _ in cases]
+    upper = np.array([value + (slack if value <= start else max(slack, 1))
+                      for value, slack, _ in cases], dtype=float)
+    evaluated, pruned = [], []
+
+    def below(i, best):
+        assert upper[i] > best  # asked only of a candidate that could still win
+        if cases[i][2] and values[i] < best:
+            pruned.append(i)
+            return True
+        return False
+
+    def evaluate(i):
+        evaluated.append(i)
+        return values[i]
+
+    got = geometry._exact_max(upper, evaluate, start, below if with_below else None)
+    assert got == full_pair_loop(values, start)
+    assert len(set(evaluated)) == len(evaluated) and not set(evaluated) & set(pruned)
+
+
 # ---------------------------------------------------------------------------
 # Gram brackets and the point extrema they prune
 # ---------------------------------------------------------------------------
@@ -436,7 +469,7 @@ def test_cholesky_threshold_test_holds_at_an_exact_eigenvalue(log_n, weights, ra
 )
 def test_threshold_test_certifies_only_pairs_below_the_threshold(family, zoo_seed, log_radii,
                                                                  log_scale, ulps, seed):
-    # The search's refine step prunes pair (i, j) when ``_ratio_below`` certifies its
+    # The search skips pair (i, j) when ``_ratio_below`` certifies its
     # evaluated value, spectral_norm(J_i - J_j) / over, below a limit. Limits at that
     # value, a few ulps either side and up to its upper bracket, for over = 1 and the
     # points' gap; at twice the upper bracket every pair is certified.
@@ -516,15 +549,15 @@ def test_bench_glm_runs_few_dense_solves(monkeypatch):
     builds = count_calls(monkeypatch, geometry, "kron_rows")
     factor_calls = count_calls(monkeypatch, model, "factors")
     verify_assumptions(model, b, samples=32, seed=seed + 1)
-    assert 0 < len(solves) <= 5 and len(builds) == 2 * len(solves)
+    assert len(solves) == 5 and len(builds) == 2 * len(solves)
     assert len(factor_calls) == 33  # the Jacobians come from the one stack
 
 
 def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch):
     # Every bracket comes from the one stack of slope factors, and every dense
-    # Jacobian is built from it: two for the one pair whose difference Gram
-    # bracket can set L, one for each of the 2 dense SVDs and one for the row
-    # norms of the point that sets B.
+    # Jacobian is built from it: two for each of the 3 pairs that neither the Schur
+    # bound nor the threshold test rules out, one for each of the 2 dense SVDs and
+    # one for the row norms of the point that sets B.
     model, theta0, radius, seed = bench_instance("net", 0)
     stacks = []
     factor_stack = geometry._factor_stack
@@ -536,46 +569,47 @@ def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch
     svds = count_calls(monkeypatch, np.linalg, "svd")
     solves = count_calls(monkeypatch, geometry, "spectral_norm")
     probe_spectrum(model, theta0, radius, samples=64, seed=seed)
-    assert (len(builds), len(svds), len(solves)) == (5, 2, 1)
+    assert (len(builds), len(svds), len(solves)) == (9, 2, 3)
     assert (len(factor_calls), stacks) == (65, [65])
 
 
-def test_bench_net_verify_brackets_only_pairs_that_can_win(monkeypatch):
+def test_bench_net_verify_evaluates_only_pairs_that_can_win(monkeypatch):
     # The Schur bounds rule out most of the 33 points' 528 pairs before their
-    # difference Grams are formed, and threshold tests most of the rest: one
-    # bracket is K's, the rest are pairs'.
+    # difference Grams are formed, and threshold tests most of the rest: 4 pairs are
+    # evaluated densely. The one bracket is K's; no difference Gram is bracketed.
     model, theta0, radius, seed = bench_instance("net", 0)
     b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
     brackets = count_calls(monkeypatch, geometry, "gram_brackets")
     solves = count_calls(monkeypatch, geometry, "spectral_norm")
     builds = count_calls(monkeypatch, geometry, "kron_rows")
     verify_assumptions(model, b, samples=32, seed=seed + 1)
-    assert len(brackets) < 528
-    assert (len(brackets), len(solves), len(builds)) == (5, 2, 4)
+    assert (len(brackets), len(solves), len(builds)) == (1, 4, 8)
 
 
-def test_bench_glm_verify_brackets_only_pairs_that_can_win(monkeypatch):
+def test_bench_glm_verify_evaluates_only_pairs_that_can_win(monkeypatch):
     # The Schur bounds rule out none of the 33 points' 528 pairs, but threshold tests
-    # against the certified floor rule out all but five: one bracket is K's, the rest
-    # are pairs'. Every pair is tested or bracketed in each of the two searches.
+    # against the best so far rule out all but five, which are evaluated densely. The
+    # one bracket is K's. The ratio search, started from L, tests 32 pairs and reuses
+    # one cached dense value.
     model, theta0, radius, seed = bench_instance("glm", 0)
     b = probe_spectrum(model, theta0, radius, samples=64, seed=seed)
     brackets = count_calls(monkeypatch, geometry, "gram_brackets")
     solves = count_calls(monkeypatch, geometry, "spectral_norm")
     tests = count_calls(monkeypatch, np.linalg, "cholesky")
     verify_assumptions(model, b, samples=32, seed=seed + 1)
-    assert (len(brackets), len(solves), len(tests)) == (6, 1, 557)
+    assert (len(brackets), len(solves), len(tests)) == (1, 5, 559)
 
 
-def test_lowrank_probe_brackets_few_pairs(monkeypatch):
+def test_lowrank_probe_evaluates_few_pairs(monkeypatch):
     # X = ones((n, 1)) here, so the Schur bound prunes none of the 2,080 pairs; the
-    # threshold tests leave one pair's bracket besides the 65 points' and K's.
+    # threshold tests leave one pair to evaluate densely. The 66 brackets are the 65
+    # points' and K's.
     model, theta0 = cli.lowrank_instance(50, 0, d=100, r=4)
     brackets = count_calls(monkeypatch, geometry, "gram_brackets")
     solves = count_calls(monkeypatch, geometry, "spectral_norm")
     tests = count_calls(monkeypatch, np.linalg, "cholesky")
     probe_spectrum(model, theta0, 1.0, samples=64, seed=0)
-    assert (len(brackets), len(solves), len(tests)) == (67, 1, 2079)
+    assert (len(brackets), len(solves), len(tests)) == (66, 1, 2079)
 
 
 def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
