@@ -33,6 +33,7 @@ from .geometry import (
     CertificationError,
     SpectrumBounds,
     _dense_slack,
+    _require_alpha,
     check_probeable,
     gd_plan,
     probe_spectrum,
@@ -41,7 +42,6 @@ from .geometry import (
 )
 from .models import (
     ACTIVATIONS,
-    Activation,
     GLMModel,
     LinearModel,
     LowRankModel,
@@ -78,14 +78,6 @@ Array = np.ndarray
 # Instance construction from a RunConfig
 # ---------------------------------------------------------------------------
 
-def make_activation(cfg: RunConfig) -> Activation:
-    if cfg.activation not in ACTIVATIONS:
-        raise ConfigError(
-            f"unknown activation {cfg.activation!r}; pick one of {sorted(ACTIVATIONS)}"
-        )
-    return ACTIVATIONS[cfg.activation](cfg.activation_scale)
-
-
 def lowrank_instance(n: int, seed: int, d: int = 100, r: int = 4) -> tuple[LowRankModel, Array]:
     """Synthetic low-rank regression: Gaussian features, Rademacher labels."""
     rng = np.random.default_rng(seed)
@@ -96,13 +88,11 @@ def lowrank_instance(n: int, seed: int, d: int = 100, r: int = 4) -> tuple[LowRa
 
 
 def build_model(cfg: RunConfig) -> tuple[Model, Array]:
-    """Instantiate the configured model family and its starting parameter."""
+    """Instantiate the configured model family (checked at load) and its starting parameter."""
     rng = np.random.default_rng(cfg.data_seed)
     family = cfg.family
     if family in ("linear", "glm"):
         n, p = cfg.n, cfg.p
-        if n < 1 or p < 1:
-            raise ConfigError(f"{family} needs model.n >= 1 and model.p >= 1")
         if cfg.identity_X:
             X = np.eye(n, p)
             y = np.zeros(n)
@@ -113,23 +103,18 @@ def build_model(cfg: RunConfig) -> tuple[Model, Array]:
             theta0 = rng.standard_normal(p) / math.sqrt(p)
         if family == "linear":
             return LinearModel(X, y), theta0
-        return GLMModel(X, y, make_activation(cfg)), theta0
+        return GLMModel(X, y, ACTIVATIONS[cfg.activation](cfg.activation_scale)), theta0
     if family == "lowrank":
-        n, d, r = cfg.n, cfg.d, cfg.r
-        if n < 1 or d < 1 or not 1 <= r <= d:
-            raise ConfigError("lowrank needs model.n >= 1 and 1 <= model.r <= model.d")
-        return lowrank_instance(n, cfg.data_seed, d, r)
-    if family == "net":
-        n, d, k = cfg.n, cfg.d, cfg.k
-        if n < 1 or d < 1 or k < 1:
-            raise ConfigError("net needs model.n, model.d, model.k all >= 1")
-        X = rng.standard_normal((n, d))
-        y = rng.standard_normal(n)
-        v = rng.standard_normal(k)
-        v /= np.linalg.norm(v)
-        W0 = rng.standard_normal((k, d)) / math.sqrt(d)
-        return ShallowNetModel(X, y, v, make_activation(cfg)), W0.reshape(-1)
-    raise ConfigError(f"unknown model family {cfg.family!r}")
+        return lowrank_instance(cfg.n, cfg.data_seed, cfg.d, cfg.r)
+    # Only the net family is left.
+    n, d, k = cfg.n, cfg.d, cfg.k
+    X = rng.standard_normal((n, d))
+    y = rng.standard_normal(n)
+    v = rng.standard_normal(k)
+    v /= np.linalg.norm(v)
+    W0 = rng.standard_normal((k, d)) / math.sqrt(d)
+    act = ACTIVATIONS[cfg.activation](cfg.activation_scale)
+    return ShallowNetModel(X, y, v, act), W0.reshape(-1)
 
 
 def glm_step_size(model: GLMModel) -> float:
@@ -333,7 +318,8 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         if cfg.record_every == 1:
             monitor = neighborhood_monitor(traj, plan, bounds.alpha)
             summary.append(monitor.to_text())
-    elif opt == "pl":
+    else:  # pl
+        _require_alpha(bounds)
         mu = bounds.alpha**2
         smooth_L = bounds.beta**2 if isinstance(model, LinearModel) else None
         loss_fn = model_loss(model, smooth_L)
@@ -349,8 +335,6 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         )
         traj = run_pl_gd(loss_fn, theta0, run_cfg, mu)
         report.extend(bnd.check_pl_theorems(traj, mu, smooth_L, loss0))
-    else:  # pragma: no cover - config validation rejects other kinds
-        raise ConfigError(f"unknown optimizer kind {opt!r}")
 
     summary.append(f"termination: {traj.termination} after {int(traj.iters[-1])} iterations")
     summary.append(report.to_text())
@@ -387,21 +371,14 @@ def run_lowrank_experiment(n: int, seed: int, iters: int = 200) -> tuple[Traject
 def _load_with_overrides(args) -> RunConfig:
     cfg = load_config(args.config)
     overrides: dict[str, str] = {}
-    for item in getattr(args, "override", []) or []:
+    for item in args.override:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["optimizer.seed"] = str(args.seed)
-    if args.iters is not None:
-        overrides["optimizer.iters"] = str(args.iters)
-    if args.eta is not None:
-        overrides["optimizer.eta"] = args.eta
-    if args.nu is not None:
-        overrides["diag.nu"] = str(args.nu)
-    if getattr(args, "lambda_", None) is not None:
-        overrides["diag.lambda"] = str(args.lambda_)
+    # A flag's dest is its config key (see _FLAG_KEYS); flags win over overrides.
+    overrides.update((key, value) for key, value in vars(args).items()
+                     if "." in key and value is not None)
     return apply_overrides(cfg, overrides)
 
 
@@ -561,17 +538,18 @@ def cmd_sgd_martingale(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# (flag, config key): each flag is an alias of its key, parsed and checked with it.
+_FLAG_KEYS = (("--seed", "optimizer.seed"), ("--iters", "optimizer.iters"),
+              ("--eta", "optimizer.eta"), ("--nu", "diag.nu"), ("--lambda", "diag.lambda"))
+
+
 def _add_common(sub: argparse.ArgumentParser, with_config: bool = True) -> None:
     if with_config:
         sub.add_argument("--config", required=True, help="path to a key=value config file")
         sub.add_argument("override", nargs="*", default=[],
                          help="inline config overrides, key=value")
-        sub.add_argument("--seed", type=int, default=None, help="optimizer seed override")
-        sub.add_argument("--iters", type=int, default=None, help="iteration count override")
-        sub.add_argument("--eta", default=None, help="step size override (number or 'auto')")
-        sub.add_argument("--nu", type=float, default=None, help="working-ball multiplier")
-        sub.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float,
-                         default=None, help="contraction split parameter in (0, 1]")
+        for flag, key in _FLAG_KEYS:
+            sub.add_argument(flag, dest=key, metavar=flag[2:].upper(), help=f"sets {key}")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout reporting")
 

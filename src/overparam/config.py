@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
+from .models import ACTIVATIONS
+
 MODEL_FAMILIES = ("linear", "glm", "lowrank", "net")
 OPTIMIZER_KINDS = ("gd", "sgd", "pl")
 REGIMES = ("bounded", "smooth")
@@ -53,8 +55,16 @@ class RunConfig:
     out_dir: str = ""
 
     def __post_init__(self):
+        family = self.family
         checks = (
-            ("family", self.family in MODEL_FAMILIES, f"one of {MODEL_FAMILIES}"),
+            ("family", family in MODEL_FAMILIES, f"one of {MODEL_FAMILIES}"),
+            ("n", self.n >= 1, ">= 1"),
+            ("p", family not in ("linear", "glm") or self.p >= 1, ">= 1"),
+            ("d", family not in ("lowrank", "net") or self.d >= 1, ">= 1"),
+            ("r", family != "lowrank" or 1 <= self.r <= self.d, f"in [1, model.d = {self.d}]"),
+            ("k", family != "net" or self.k >= 1, ">= 1"),
+            ("activation", family not in ("glm", "net") or self.activation in ACTIVATIONS,
+             f"one of {tuple(ACTIVATIONS)}"),
             ("optimizer", self.optimizer in OPTIMIZER_KINDS, f"one of {OPTIMIZER_KINDS}"),
             ("regime", self.regime in REGIMES, f"one of {REGIMES}"),
             ("data_seed", self.data_seed >= 0, ">= 0"),
@@ -72,6 +82,12 @@ class RunConfig:
             if not ok:
                 value = getattr(self, name)
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be {rule}, got {value!r}")
+        if family in ("glm", "net"):
+            try:  # the activation's constructor owns the rule for its scale
+                ACTIVATIONS[self.activation](self.activation_scale)
+            except ValueError as exc:
+                raise ConfigError(f"model.activation_scale must be valid for "
+                                  f"{self.activation} ({exc})") from exc
 
 
 def _auto_or(value: Any, typ: type, zero_ok: bool = False) -> bool:

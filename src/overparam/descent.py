@@ -215,15 +215,11 @@ class _Rows:
         self.scalars = np.empty((5, _BLOCK_ROWS))  # iter, loss, misfit, path_len, step_norm
         self.thetas = np.empty((_BLOCK_ROWS, start.size))
         self.count = 0
-        self.last = -1  # iteration of the latest row
         self.blocks: list[Array] = []  # (8, rows): iter through sgd_potential
         self.theta_blocks: list[Array] = []
 
     def add(self, tau: int, loss: float, misfit: float, path_len: float, step_norm: float,
             theta: Array) -> None:
-        if tau == self.last:
-            return
-        self.last = tau
         self.scalars[:, self.count] = tau, loss, misfit, path_len, step_norm
         self.thetas[self.count] = theta
         self.count += 1
@@ -257,12 +253,12 @@ def _descend(
     theta0: Array,
     cfg: OptimConfig,
     measure: Callable[[Array], tuple[float, float, Array | None]],
-    direction: Callable[[int, Array, Array | None], Array],
+    direction: Callable[[Array, Array | None], Array],
     potential: Callable[[Array, Array, Array], Array],
     anchored: Callable[[Array, Array], Array] | None = None,
     stationary_exit: bool = True,
 ) -> Trajectory:
-    """The loop of every run: theta <- theta - eta * direction(tau, theta, r).
+    """The loop of every run: theta <- theta - eta * direction(theta, r).
 
     measure(theta) returns (loss, misfit, r), where r is the residual at theta
     (None for a general loss) and is handed to the direction of the next step,
@@ -288,9 +284,10 @@ def _descend(
             if misfit <= cfg.tol_misfit:
                 termination = "tol"
                 break
-            g = direction(tau, theta, r)
+            g = direction(theta, r)
             if stationary_exit and not np.any(g):
-                rows.add(tau - 1, loss, misfit, path_len, step_norm, theta)
+                if (tau - 1) % cfg.record_every:  # else row tau - 1 is recorded already
+                    rows.add(tau - 1, loss, misfit, path_len, step_norm, theta)
                 termination = "stationary"
                 break
             step = cfg.eta * g
@@ -355,7 +352,7 @@ def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     """
     return _descend(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
-        direction=lambda tau, theta, r: model.gradient(theta, r),
+        direction=model.gradient,
         potential=_misfit_potential(cfg),
     )
 
@@ -412,7 +409,7 @@ def run_sgd(
     # the full loss, so a zero step does not end the run.
     return _descend(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
-        direction=lambda tau, theta, r: model.per_sample_gradient(theta, next(indices), r),
+        direction=lambda theta, r: model.per_sample_gradient(theta, next(indices), r),
         potential=_misfit_potential(cfg),
         anchored=None if anchors is None else anchored_potential,
         stationary_exit=False,
@@ -470,7 +467,7 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
     return _descend(
-        theta0, cfg, loss_fn.measure, lambda tau, theta, r: loss_fn.direction(theta, r),
+        theta0, cfg, loss_fn.measure, loss_fn.direction,
         potential=lambda dist, root, path_len: math.sqrt(mu / 8.0) * dist + root,
     )
 

@@ -390,6 +390,12 @@ def probe_spectrum(
     )
 
 
+def _require_alpha(bounds: SpectrumBounds) -> None:
+    """Refuse to plan on a probed geometry whose alpha is zero."""
+    if bounds.alpha <= 0.0:
+        raise CertificationError("probed alpha is zero; cannot certify a plan")
+
+
 def gd_plan(
     bounds: SpectrumBounds,
     initial_misfit: float,
@@ -409,8 +415,7 @@ def gd_plan(
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    if bounds.alpha <= 0.0:
-        raise CertificationError("probed alpha is zero; cannot certify a plan")
+    _require_alpha(bounds)
     alpha, beta = bounds.alpha, bounds.beta
     if regime == "bounded":
         eta_cap = lam / beta**2
@@ -449,8 +454,7 @@ def sgd_plan(
     """
     if nu < 3.0:
         raise ValueError(f"nu must be >= 3, got {nu}")
-    if bounds.alpha <= 0.0:
-        raise CertificationError("probed alpha is zero; cannot certify a plan")
+    _require_alpha(bounds)
     alpha, beta, B = bounds.alpha, bounds.beta, bounds.row_bound_B
     if regime == "bounded":
         eta_cap = alpha**2 / (nu * beta**2 * B**2)

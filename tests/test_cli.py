@@ -17,7 +17,13 @@ from overparam.cli import (
 from overparam.config import parse_config_text
 from overparam.descent import Trajectory
 from overparam.geometry import probe_spectrum
-from overparam.models import GLMModel, LinearModel, tanh_linear
+from overparam.models import (
+    GLMModel,
+    LinearModel,
+    ShallowNetModel,
+    identity_activation,
+    tanh_linear,
+)
 
 IDENTITY_LINEAR = """\
 model.family = linear
@@ -186,9 +192,10 @@ def zero_row_glm(cfg):
     return GLMModel(X, np.array([1.0, -1.0, 0.5]), tanh_linear(0.3)), np.ones(5)
 
 
-def test_run_with_zero_alpha_is_a_certification_failure(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("kind", ["gd", "sgd", "pl"])
+def test_run_with_zero_alpha_is_a_certification_failure(tmp_path, monkeypatch, capsys, kind):
     monkeypatch.setattr(cli, "build_model", zero_row_glm)
-    cfg = write(tmp_path, "glm.cfg", GLM_RUN)
+    cfg = write(tmp_path, "glm.cfg", GLM_RUN.replace("kind = gd", f"kind = {kind}"))
     code = main(["run", "--config", cfg, "--quiet", "--out", str(tmp_path / "out")])
     assert code == EXIT_VIOLATION
     assert capsys.readouterr().err == (
@@ -225,6 +232,7 @@ def test_rounding_level_alpha0_takes_the_fallback_probe_radius():
     "optimizer.record_every=0", "diag.probe_samples=0", "optimizer.eta=nan",
     "optimizer.eta=inf", "optimizer.eta=0", "optimizer.tol=-1e-9", "optimizer.tol=inf",
     "diag.probe_radius=0", "diag.probe_radius=nan", "diag.anchor_count=0",
+    "model.n=0", "model.p=-1", "model.activation=cubic", "model.activation_scale=1.5",
 ])
 def test_out_of_range_values_refused_before_any_jacobian(tmp_path, monkeypatch, capsys,
                                                          command, override):
@@ -306,6 +314,30 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert (env_dir / "trajectory.csv").exists()
 
 
+def test_out_dir_order_flag_then_config_then_env_then_cwd(tmp_path, monkeypatch):
+    flag_dir, cfg_dir, env_dir, cwd = (tmp_path / name for name in ("flag", "cfg", "env", "cwd"))
+    with_dir = write(tmp_path, "dir.cfg", IDENTITY_LINEAR + f"output.dir = {cfg_dir}\n")
+    without_dir = write(tmp_path, "id.cfg", IDENTITY_LINEAR)
+    monkeypatch.setenv("OVERPARAM_OUT_DIR", str(env_dir))
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+
+    def written():
+        return [d for d in (flag_dir, cfg_dir, env_dir, cwd) if (d / "summary.txt").exists()]
+
+    for argv, expected in (
+        (["--config", with_dir, "--out", str(flag_dir)], flag_dir),
+        (["--config", with_dir], cfg_dir),
+        (["--config", without_dir], env_dir),
+    ):
+        assert main(["run", *argv, "--quiet"]) == EXIT_OK
+        assert written() == [expected]
+        (expected / "summary.txt").unlink()
+    monkeypatch.delenv("OVERPARAM_OUT_DIR")
+    assert main(["run", "--config", without_dir, "--quiet"]) == EXIT_OK
+    assert written() == [cwd]
+
+
 def test_verify_identity_linear(tmp_path):
     cfg = write(tmp_path, "id.cfg", IDENTITY_LINEAR)
     out = tmp_path / "v"
@@ -337,6 +369,15 @@ def test_verify_net_formula_brackets_probe():
     assert b.alpha >= act.gamma * sv[-1] * 0.95
     assert b.beta <= act.big_gamma * sv[0] * 1.05
     assert net_step_size(model, theta0) > 0
+
+
+def test_net_step_size_with_zero_curvature_is_the_base_rule():
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((4, 6))
+    model = ShallowNetModel(X, rng.standard_normal(4), np.array([0.6, 0.8]),
+                            identity_activation())
+    spec_norm = np.linalg.svd(X, compute_uv=False)[0]
+    assert net_step_size(model, rng.standard_normal(12)) == 1.0 / (2.0 * spec_norm**2)
 
 
 @pytest.mark.parametrize("mode", ["tight-upper", "tight-lower"])
@@ -424,12 +465,31 @@ def test_negative_seeds_refused_before_any_jacobian(tmp_path, monkeypatch, capsy
     assert built == []
 
 
-def test_seed_flag_refuses_a_negative_optimizer_seed(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-3", "optimizer.seed must be >= 0, got -3"),
+    ("--seed", "x", "optimizer.seed must be an integer, got 'x'"),
+    ("--iters", "2.5", "optimizer.iters must be an integer, got '2.5'"),
+    ("--nu", "two", "diag.nu must be a number, got 'two'"),
+    ("--lambda", "1.5", "diag.lambda must be in (0, 1], got 1.5"),
+    ("--eta", "0", "optimizer.eta must be a finite number > 0 or 'auto', got 0.0"),
+], ids=["seed-negative", "seed-x", "iters-fraction", "nu-two", "lambda-1.5", "eta-0"])
+def test_seed_flag_refuses_a_negative_optimizer_seed(tmp_path, capsys, flag, value, message):
+    # Flags are aliases of config keys: a bad value is a config error naming the key.
     cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
-    code = main(["run", "--config", cfg, "--seed", "-3", "--quiet",
+    code = main(["run", "--config", cfg, flag, value, "--quiet",
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: optimizer.seed must be >= 0, got -3\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_flags_win_over_positional_overrides(tmp_path):
+    cfg = write(tmp_path, "glm.cfg", GLM_RUN)
+    args = cli.build_parser().parse_args([
+        "run", "--config", cfg, "optimizer.seed=1", "diag.nu=4", "--seed", "2", "--nu", "5",
+        "--iters", "7", "--lambda", "0.25", "--eta", "0.125"])
+    loaded = cli._load_with_overrides(args)
+    assert (loaded.opt_seed, loaded.nu, loaded.iters, loaded.lam, loaded.eta) == (
+        2, 5.0, 7, 0.25, 0.125)
 
 
 def test_sgd_martingale_command(tmp_path):
@@ -441,6 +501,25 @@ def test_sgd_martingale_command(tmp_path):
     assert lines[0] == "iter,in_half_ball,drift_misfit,drift_dist,drift_potential"
     drifts = [float(line.split(",")[4]) for line in lines[1:] if line.split(",")[1] == "1"]
     assert drifts and max(drifts) <= 1e-12
+
+
+def test_sgd_martingale_rows_outside_the_half_ball(tmp_path, monkeypatch, capsys):
+    cfg = write(tmp_path, "sgd.cfg", SGD_IDENTITY)
+    # Every other recorded state counts as outside the half ball.
+    monkeypatch.setattr(cli, "in_working_ball", lambda dist, *rest: np.arange(len(dist)) % 2 == 0)
+    out = tmp_path / "half"
+    assert main(["sgd-martingale", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+    rows = (out / "martingale.csv").read_text().splitlines()[1:]
+    assert len(rows) == 61
+    assert rows[1::2] == [f"{i},0,,," for i in range(1, 61, 2)]
+    assert all(row.split(",")[1] == "1" and row.split(",")[4] for row in rows[::2])
+
+    monkeypatch.setattr(cli, "in_working_ball", lambda dist, *rest: np.zeros(len(dist), bool))
+    out = tmp_path / "none"
+    assert main(["sgd-martingale", "--config", cfg, "--out", str(out)]) == EXIT_VIOLATION
+    assert capsys.readouterr().out.startswith("checked 0/61 states inside the half ball; ")
+    rows = (out / "martingale.csv").read_text().splitlines()[1:]
+    assert rows == [f"{i},0,,," for i in range(61)]
 
 
 def test_run_lowrank_pipeline(tmp_path):

@@ -1,12 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from overparam.cli import build_model
 from overparam.config import (
+    MODEL_FAMILIES,
     ConfigError,
     RunConfig,
     apply_overrides,
     config_to_text,
+    load_config,
     parse_config_text,
+    save_config,
 )
+from overparam.models import ACTIVATIONS
 
 SAMPLE = """\
 # glm fitting run
@@ -68,14 +74,34 @@ def test_domain_validation():
         parse_config_text("optimizer.kind = adam\n")
     with pytest.raises(ConfigError):
         parse_config_text("diag.lambda = 1.5\n")
+    for text, message in (
+        ("model.n = 0\n", "model.n must be >= 1, got 0"),
+        ("model.family = glm\nmodel.p = 0\n", "model.p must be >= 1, got 0"),
+        ("model.family = lowrank\nmodel.d = 0\nmodel.r = 1\n", "model.d must be >= 1, got 0"),
+        ("model.family = lowrank\nmodel.d = 3\nmodel.r = 4\n",
+         "model.r must be in [1, model.d = 3], got 4"),
+        ("model.family = net\nmodel.d = 3\nmodel.k = 0\n", "model.k must be >= 1, got 0"),
+        ("model.family = glm\nmodel.activation = cubic\n", "model.activation must be one of "),
+        ("model.family = net\nmodel.d = 3\nmodel.k = 2\nmodel.activation_scale = 1.5\n",
+         "model.activation_scale must be valid for tanh_linear "
+         "(tanh_linear needs 0 <= c < 1, got 1.5)"),
+    ):
+        with pytest.raises(ConfigError) as refused:
+            parse_config_text(text)
+        assert str(refused.value).startswith(message)
+    # Keys a family does not read are not checked.
+    parse_config_text("model.family = linear\nmodel.activation = cubic\nmodel.d = -1\n")
 
 
-def test_round_trip_lossless():
+def test_round_trip_lossless(tmp_path):
     cfg = parse_config_text(SAMPLE)
     text = config_to_text(cfg)
     again = parse_config_text(text)
     assert again == cfg
     assert config_to_text(again) == text
+    save_config(cfg, tmp_path / "saved.cfg")
+    assert (tmp_path / "saved.cfg").read_text(encoding="utf-8") == text
+    assert load_config(tmp_path / "saved.cfg") == cfg
 
 
 def test_round_trip_with_numeric_eta_and_bools():
@@ -147,3 +173,28 @@ def test_direct_construction_rejects_non_numbers(field, value):
     with pytest.raises(ConfigError):
         RunConfig(**{field: value})
 
+
+_CONFIG_KEYS = {line.split(" = ")[0] for line in config_to_text(RunConfig()).splitlines()}
+_SIZES = st.integers(-1, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(MODEL_FAMILIES), n=_SIZES, p=_SIZES, d=_SIZES, r=_SIZES,
+       k=_SIZES, activation=st.sampled_from([*ACTIVATIONS, "cubic"]),
+       scale=st.floats(-0.5, 1.5), identity=st.booleans())
+def test_model_config_is_refused_at_load_or_builds(family, n, p, d, r, k, activation, scale,
+                                                   identity):
+    """A model config either fails to load, naming a key, or builds with its sizes."""
+    text = (f"model.family = {family}\nmodel.n = {n}\nmodel.p = {p}\nmodel.d = {d}\n"
+            f"model.r = {r}\nmodel.k = {k}\nmodel.activation = {activation}\n"
+            f"model.activation_scale = {scale!r}\n"
+            f"model.identity = {'on' if identity else 'off'}\n")
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError as exc:
+        assert str(exc).split(" ")[0] in _CONFIG_KEYS
+        return
+    model, theta0 = build_model(cfg)
+    expected_p = {"linear": p, "glm": p, "lowrank": d * r, "net": k * d}[family]
+    assert (model.n, model.p, theta0.shape) == (n, expected_p, (expected_p,))
+    assert min(model.n, model.p) >= 1

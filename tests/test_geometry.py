@@ -712,6 +712,11 @@ def test_gd_plan_rejects_zero_alpha():
         gd_plan(make_bounds(0.0, 2.0), 4.0)
 
 
+def test_sgd_plan_rejects_zero_alpha():
+    with pytest.raises(CertificationError, match="^probed alpha is zero; cannot certify a plan$"):
+        sgd_plan(make_bounds(0.0, 2.0), 4.0)
+
+
 def test_gd_plan_rejects_bad_lambda():
     with pytest.raises(ValueError):
         gd_plan(make_bounds(1.0, 2.0), 4.0, lam=0.0)
