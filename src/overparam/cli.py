@@ -53,8 +53,8 @@ from .potentials import (
     AnchorSet,
     PackingInfeasibleError,
     build_packing,
+    conditional_drifts,
     default_anchor_count,
-    exact_conditional_drift,
     in_working_ball,
     neighborhood_monitor,
     save_packing,
@@ -437,6 +437,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _number_flag(args, name: str, kind: type, low: float, inclusive: bool = True):
+    """The value of --<name> as int or float, finite and >= low (> low when not
+    inclusive), else a ConfigError naming the flag; checked before any work."""
+    raw = getattr(args, name)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError):
+        value = None
+    bound = f"{'>=' if inclusive else '>'} {low:g}"
+    noun = "an integer" if kind is int else "a finite number"
+    if value is None or not math.isfinite(value):
+        raise ConfigError(f"--{name} must be {noun} {bound}, got {raw!r}")
+    if value < low or (value == low and not inclusive):
+        raise ConfigError(f"--{name} must be {bound}, got {value:g}")
+    return value
+
+
 def cmd_lower_bound(args) -> int:
     try:
         eta = None if args.eta in (None, "auto") else float(args.eta)
@@ -444,17 +461,23 @@ def cmd_lower_bound(args) -> int:
         eta = math.nan
     if eta is not None and not (math.isfinite(eta) and eta > 0.0):
         raise ConfigError(f"--eta must be a finite number > 0 or 'auto', got {args.eta!r}")
-    model, theta0 = bnd.make_lower_bound_instance(args.alpha, args.beta, args.p, args.mode)
+    alpha = _number_flag(args, "alpha", float, 0.0, inclusive=False)
+    beta = _number_flag(args, "beta", float, 0.0, inclusive=False)
+    if beta < alpha:
+        raise ConfigError(f"--beta must be >= --alpha, got alpha={alpha:g}, beta={beta:g}")
+    p = _number_flag(args, "p", int, 2)
+    iters = _number_flag(args, "iters", int, 1)
+    model, theta0 = bnd.make_lower_bound_instance(alpha, beta, p, args.mode)
     if eta is None:
-        eta = 0.5 / args.beta**2
-    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=args.iters))
-    coefficient = bnd.tight_line_coefficient(args.alpha, args.beta, args.mode)
+        eta = 0.5 / beta**2
+    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters))
+    coefficient = bnd.tight_line_coefficient(alpha, beta, args.mode)
     (line,) = bnd.check_tight_line(traj, coefficient).rows
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     traj.save(out / f"lower_bound_{args.mode}.csv")
     text = (
-        f"alpha={args.alpha:g} beta={args.beta:g} p={args.p} mode={args.mode}\n"
+        f"alpha={alpha:g} beta={beta:g} p={p} mode={args.mode}\n"
         f"max deviation from the tradeoff line: {line.max_violation:.17g} "
         f"(tolerance {line.tolerance:.6g})\n"
     )
@@ -465,24 +488,27 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_experiment_lowrank(args) -> int:
-    sizes = [25, 50, 100, 200] if args.n == "all" else [int(args.n)]
+    try:
+        sizes = [25, 50, 100, 200] if args.n == "all" else [int(args.n)]
+    except ValueError:
+        sizes = [None]
     if any(n not in (25, 50, 100, 200) for n in sizes):
         raise ConfigError("experiment-lowrank supports n in {25, 50, 100, 200}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    seed = _number_flag(args, "seed", int, 0)
+    iters = _number_flag(args, "iters", int, 1)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for n in sizes:
-        traj, eta, c1 = run_lowrank_experiment(n, args.seed, iters=args.iters)
-        traj.save(out / f"lowrank_n{n}_seed{args.seed}.csv")
+        traj, eta, c1 = run_lowrank_experiment(n, seed, iters=iters)
+        traj.save(out / f"lowrank_n{n}_seed{seed}.csv")
         lines.append(
-            f"n={n} seed={args.seed} c1={c1:.17g} eta={eta:.17g} "
+            f"n={n} seed={seed} c1={c1:.17g} eta={eta:.17g} "
             f"final_norm_misfit={traj.norm_misfit[-1]:.10g} "
             f"final_norm_dist={traj.norm_dist[-1]:.10g}"
         )
     text = "\n".join(lines) + "\n"
-    (out / f"lowrank_summary_seed{args.seed}.txt").write_text(text, encoding="utf-8")
+    (out / f"lowrank_summary_seed{seed}.txt").write_text(text, encoding="utf-8")
     if not args.quiet:
         sys.stdout.write(text)
     return EXIT_OK
@@ -503,21 +529,21 @@ def cmd_sgd_martingale(args) -> int:
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_packing(anchors, out / "anchors.txt")
+    inside = in_working_ball(traj.dist_init, traj.misfit, plan.nu / 2.0, misfit0, bounds.alpha)
+    drifts = iter(conditional_drifts(model, traj.thetas, plan.eta, anchors, bounds.alpha,
+                                     np.flatnonzero(inside)).tolist())
     worst = -math.inf
     checked = 0
-    inside = in_working_ball(traj.dist_init, traj.misfit, plan.nu / 2.0, misfit0, bounds.alpha)
     with open(out / "martingale.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iter,in_half_ball,drift_misfit,drift_dist,drift_potential\n")
         for idx in range(len(traj.iters)):
             if inside[idx]:
-                drift = exact_conditional_drift(
-                    model, traj.thetas[idx], plan.eta, anchors, bounds.alpha
-                )
-                worst = max(worst, drift.drift_potential)
+                drift_misfit, drift_dist, drift_potential = next(drifts)
+                worst = max(worst, drift_potential)
                 checked += 1
                 fh.write(
-                    f"{int(traj.iters[idx])},1,{drift.drift_misfit:.17g},"
-                    f"{drift.drift_dist:.17g},{drift.drift_potential:.17g}\n"
+                    f"{int(traj.iters[idx])},1,{drift_misfit:.17g},"
+                    f"{drift_dist:.17g},{drift_potential:.17g}\n"
                 )
             else:
                 fh.write(f"{int(traj.iters[idx])},0,,,\n")
@@ -570,20 +596,20 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     lower = subs.add_parser("lower-bound", help="build and run an adversarial instance")
-    lower.add_argument("--alpha", type=float, required=True)
-    lower.add_argument("--beta", type=float, required=True)
-    lower.add_argument("--p", type=int, default=2)
+    lower.add_argument("--alpha", required=True)
+    lower.add_argument("--beta", required=True)
+    lower.add_argument("--p", default=2)
     lower.add_argument("--mode", choices=("tight-upper", "tight-lower"),
                        default="tight-upper")
-    lower.add_argument("--iters", type=int, default=10_000)
+    lower.add_argument("--iters", default=10_000)
     lower.add_argument("--eta", default=None, help="step size (default 0.5/beta^2)")
     _add_common(lower, with_config=False)
     lower.set_defaults(func=cmd_lower_bound)
 
     exp = subs.add_parser("experiment-lowrank", help="run the low-rank trajectory study")
     exp.add_argument("--n", default="all", help="sample count in {25,50,100,200} or 'all'")
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--iters", type=int, default=200)
+    exp.add_argument("--seed", default=0)
+    exp.add_argument("--iters", default=200)
     _add_common(exp, with_config=False)
     exp.set_defaults(func=cmd_experiment_lowrank)
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
 from .geometry import probe_points
-from .models import Model, vector_norm
+from .models import GLMModel, Model, vector_norm
 
 Array = np.ndarray
 
@@ -45,9 +46,7 @@ _CSV_BLOCK_ROWS = 1024
 # A CSV row, and one whose NaN sgd_potential (column 7) prints as an empty field.
 _CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
 _CSV_BLANK_ROW = ",".join(["%.17g"] * 7 + [""] + ["%.17g"] * 2) + "\n"
-_BLOCK_ROWS = 64  # recorded rows a block
-# Entries of the largest (rows, K, p) anchor difference formed at once (1 MB).
-_ANCHOR_ENTRY_CAP = 1 << 17
+_BLOCK_ROWS = 64  # recorded rows a block, and GLM SGD steps between exact X theta
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,10 @@ class _Rows:
         iters, loss, misfit, path_len, step_norm = self.scalars[:, :self.count]
         thetas = self.thetas[:self.count]
         D = thetas - self.start
-        dist = np.sqrt(np.vecdot(D, D))  # each row's vector_norm, bit for bit
+        sq = np.vecdot(D, D)
+        dist = np.sqrt(sq)  # each row's vector_norm, bit for bit
         sgd = np.full(self.count, math.nan) if self.anchored is None \
-            else self.anchored(thetas, misfit)
+            else self.anchored(D, sq, misfit)
         self.blocks.append(np.stack([iters, loss, misfit, dist, path_len, step_norm,
                                      self.potential(dist, misfit, path_len), sgd]))
         if self.keep_thetas:
@@ -253,19 +253,21 @@ def _descend(
     theta0: Array,
     cfg: OptimConfig,
     measure: Callable[[Array], tuple[float, float, Array | None]],
-    direction: Callable[[Array, Array | None], Array],
+    step: Callable[[Array, Array | None], tuple[Array, float] | None],
     potential: Callable[[Array, Array, Array], Array],
-    anchored: Callable[[Array, Array], Array] | None = None,
-    stationary_exit: bool = True,
+    anchored: Callable[[Array, Array, Array], Array] | None = None,
 ) -> Trajectory:
-    """The loop of every run: theta <- theta - eta * direction(theta, r).
+    """The loop of every run: theta <- step(theta, r).
 
     measure(theta) returns (loss, misfit, r), where r is the residual at theta
-    (None for a general loss) and is handed to the direction of the next step,
-    so theta is evaluated once per step. A block of recorded rows gets its
-    gd_potential column from potential(dist_init, misfit, path_len) and its
-    sgd_potential from anchored(thetas, misfit), each taking the block's
-    columns (and (rows, p) thetas) and giving every row its own bits.
+    (None for a general loss) and is handed to the next step, so theta is
+    evaluated once per step. step(theta, r) returns the next theta and the
+    step's norm, or None where the run stops as "stationary"; the measure and
+    step closures of a run may share state (GLM SGD keeps X theta in them).
+    A block of recorded rows gets its gd_potential column from
+    potential(dist_init, misfit, path_len) and its sgd_potential from
+    anchored(theta - theta0, ||theta - theta0||^2, misfit), each taking the
+    block's columns (and (rows, p) offsets) and giving every row its own bits.
     Overflow raises no warning: a non-finite loss ends the run as
     "non_finite" with abort_iter set, and so does a step that overflows theta,
     whose row records loss = misfit = inf without measuring it.
@@ -284,15 +286,13 @@ def _descend(
             if misfit <= cfg.tol_misfit:
                 termination = "tol"
                 break
-            g = direction(theta, r)
-            if stationary_exit and not np.any(g):
+            moved = step(theta, r)
+            if moved is None:
                 if (tau - 1) % cfg.record_every:  # else row tau - 1 is recorded already
                     rows.add(tau - 1, loss, misfit, path_len, step_norm, theta)
                 termination = "stationary"
                 break
-            step = cfg.eta * g
-            theta = theta - step
-            step_norm = vector_norm(step)
+            theta, step_norm = moved
             path_len += step_norm
             # A finite step_norm bounds every step entry below sqrt(float max), about
             # 1.3e154, so theta could overflow only from an entry already that close to
@@ -329,6 +329,20 @@ def _descend(
         )
 
 
+def _gradient_step(direction: Callable[[Array, Array | None], Array], eta: float,
+                   stationary_exit: bool = True):
+    """The step of a gradient run: theta - eta * direction(theta, r) and the step's
+    ``vector_norm``, or None at an exactly zero direction when stationary_exit is set."""
+    def step(theta: Array, r: Array | None) -> tuple[Array, float] | None:
+        g = direction(theta, r)
+        if stationary_exit and not np.any(g):
+            return None
+        s = eta * g
+        return theta - s, vector_norm(s)
+
+    return step
+
+
 def _measure_residual(model: Model, theta: Array) -> tuple[float, float, Array]:
     """(0.5 * misfit^2, misfit, residual) at theta, for the least-squares runs."""
     r = model.residual(theta)
@@ -352,7 +366,7 @@ def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     """
     return _descend(
         theta0, cfg, lambda theta: _measure_residual(model, theta),
-        direction=model.gradient,
+        _gradient_step(model.gradient, cfg.eta),
         potential=_misfit_potential(cfg),
     )
 
@@ -371,6 +385,44 @@ def _sgd_indices(seed: int, n: int):
         yield from rng.integers(0, n, size=_BLOCK_ROWS).tolist()
 
 
+def _glm_sgd(model: GLMModel, eta: float, indices):
+    """(measure, step) of GLM SGD, sharing z = X theta between them.
+
+    A step on sample i is theta <- theta - c x_i with c = eta r_i phi'(z_i),
+    and z follows it as z <- z - c G[i] (G = X X^T), so a step costs O(n + p)
+    and the residual r = phi(z) - y no forward pass. z is taken exactly as
+    X theta (``pre_activations``, which checks theta) at the start and every
+    _BLOCK_ROWS steps. In between, entry j of z drifts from x_j . theta by at
+    most _BLOCK_ROWS * (p + 3) * eps * (max|c| ||x_j|| max||x_i|| + |x_j| . |theta|),
+    eps being the float64 machine epsilon: a step adds the G entry's dot
+    product error, two roundings of the update, and theta's own rounding seen
+    through x_j.
+    """
+    X, y, act = model.X, model.y, model.act
+    gram = X @ X.T
+    row_norms = np.sqrt(np.vecdot(X, X))
+    z = None
+    taken = 0
+
+    def measure(theta: Array) -> tuple[float, float, Array]:
+        nonlocal z
+        if taken % _BLOCK_ROWS == 0:
+            z = model.pre_activations(theta)
+        r = act.phi(z) - y
+        misfit = vector_norm(r)
+        return 0.5 * misfit**2, misfit, r
+
+    def step(theta: Array, r: Array) -> tuple[Array, float]:
+        nonlocal z, taken
+        i = next(indices)
+        c = eta * r[i] * act.dphi(z[i])
+        z -= c * gram[i]
+        taken += 1
+        return theta - c * X[i], abs(c) * row_norms[i]
+
+    return measure, step
+
+
 def run_sgd(
     model: Model,
     theta0: Array,
@@ -382,38 +434,49 @@ def run_sgd(
 
     Each step draws gamma uniformly from {0..n-1} and applies
     theta <- theta - eta * r_gamma * J_gamma^T (no 1/n scaling); gamma is
-    drawn a block at a time, not max_iters at once. When an anchor set and
+    drawn a block at a time, not max_iters at once. A GLM (the linear model
+    too) steps in O(n + p) on a kept z = X theta (``_glm_sgd``), never calling
+    ``predictions`` or ``per_sample_gradient``; other families take
+    ``per_sample_gradient`` on a measured residual. When an anchor set and
     alpha are supplied, the anchored potential
-    12*misfit + (alpha/K) * sum_l ||theta - p_l|| is recorded per row,
-    evaluated for a block of rows at once. Identical seeds reproduce the
-    trajectory bit for bit.
+    12*misfit + (alpha/K) * sum_l ||theta - p_l|| is recorded per row. A
+    block of rows takes its K squared distances from one centred product,
+    ||t||^2 - 2 t . a_l + ||a_l||^2 with t = theta - theta0 and
+    a_l = p_l - theta0: each is within
+    delta_l = (p + 5) * eps * (||t|| + ||a_l||)^2 of ||theta - p_l||^2, eps
+    being the float64 machine epsilon (three p-term dot products, two sums,
+    and the rounding of t and a_l), so
+    distance l is within min(sqrt(delta_l), delta_l / ||theta - p_l||): a
+    relative rounding error away from the anchor, sqrt(delta_l) at worst,
+    where theta lands on it. Identical seeds reproduce the trajectory bit
+    for bit.
     """
     if cfg.seed is None:
         raise ValueError("SGD requires cfg.seed")
     if anchors is not None and alpha is None:
         raise ValueError("anchored potential recording needs alpha")
     indices = _sgd_indices(cfg.seed, model.n)
+    if isinstance(model, GLMModel):
+        measure, step = _glm_sgd(model, cfg.eta, indices)
+    else:
+        # One sample's gradient can vanish at a point that is not stationary for
+        # the full loss, so a zero step does not end the run.
+        measure = partial(_measure_residual, model)
+        step = _gradient_step(
+            lambda theta, r: model.per_sample_gradient(theta, next(indices), r),
+            cfg.eta, stationary_exit=False)
+    anchored_potential = None
+    if anchors is not None:
+        centred = anchors.anchors - np.asarray(theta0, dtype=float)
+        centred_sq = np.vecdot(centred, centred)
 
-    def anchored_potential(thetas: Array, misfits: Array) -> Array:
-        # (rows, K, p) differences of at most _ANCHOR_ENTRY_CAP entries; each
-        # row's np.linalg.norm(anchors - theta, axis=1).sum(), bit for bit.
-        sums = np.empty(len(thetas))
-        rows = max(1, _ANCHOR_ENTRY_CAP // anchors.anchors.size)
-        for first in range(0, len(thetas), rows):
-            D = anchors.anchors - thetas[first:first + rows, None, :]
-            D *= D
-            sums[first:first + rows] = np.sqrt(np.add.reduce(D, axis=2)).sum(axis=1)
-        return 12.0 * misfits + (alpha / anchors.K) * sums
+        def anchored_potential(offsets: Array, sq: Array, misfits: Array) -> Array:
+            dist_sq = sq[:, None] - 2.0 * (offsets @ centred.T) + centred_sq
+            dists = np.sqrt(np.maximum(dist_sq, 0.0)).sum(axis=1)
+            return 12.0 * misfits + (alpha / anchors.K) * dists
 
-    # One sample's gradient can vanish at a point that is not stationary for
-    # the full loss, so a zero step does not end the run.
-    return _descend(
-        theta0, cfg, lambda theta: _measure_residual(model, theta),
-        direction=lambda theta, r: model.per_sample_gradient(theta, next(indices), r),
-        potential=_misfit_potential(cfg),
-        anchored=None if anchors is None else anchored_potential,
-        stationary_exit=False,
-    )
+    return _descend(theta0, cfg, measure, step, potential=_misfit_potential(cfg),
+                    anchored=anchored_potential)
 
 
 @dataclass(frozen=True)
@@ -467,7 +530,7 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
     return _descend(
-        theta0, cfg, loss_fn.measure, loss_fn.direction,
+        theta0, cfg, loss_fn.measure, _gradient_step(loss_fn.direction, cfg.eta),
         potential=lambda dist, root, path_len: math.sqrt(mu / 8.0) * dist + root,
     )
 

@@ -236,15 +236,19 @@ class GLMModel(Model):
         self.act = act
         self.n, self.p = X.shape
 
+    def pre_activations(self, theta: Array) -> Array:
+        """z = X theta, the argument of phi (checks theta)."""
+        return self.X @ _as_param(theta, self.p)
+
     def predictions(self, theta: Array) -> Array:
-        return self.act.phi(self.X @ _as_param(theta, self.p))
+        return self.act.phi(self.pre_activations(theta))
 
     def residuals(self, thetas: Array) -> Array:
         return self.act.phi(_as_params(thetas, self.p) @ self.X.T) - self.y
 
     def factors(self, theta: Array) -> tuple[Array, Array]:
         """(dphi(X theta) as a column, X): row r of the Jacobian is dphi(x_r . theta) x_r."""
-        return self.act.dphi(self.X @ _as_param(theta, self.p))[:, None], self.X
+        return self.act.dphi(self.pre_activations(theta))[:, None], self.X
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
         theta = _as_param(theta, self.p)

@@ -16,13 +16,15 @@ import numpy as np
 from . import geometry
 from .descent import Trajectory
 from .geometry import TheoryPlan
-from .models import Model
+from .models import GLMModel, Model, _as_params
 from .oracle import ENUMERATION_CAP, CapacityError
 
 Array = np.ndarray
 
 MISFIT_WEIGHT = 12.0
 INIT_BOUND_FACTOR = 14.0
+# Entries of the largest array a block of GLM drift states holds (512 KB).
+_DRIFT_ENTRY_CAP = 1 << 16
 
 
 class PackingInfeasibleError(RuntimeError):
@@ -229,24 +231,95 @@ def exact_conditional_drift(
     Returns E[||r+|| ] - ||r||, E[d_P] - d_P, and the potential drift
     12 * (misfit drift) + alpha * (distance drift). The potential drift must
     be <= 0 at any state inside the half working ball when the planned step
-    size is in use.
+    size is in use. This is the one-state case of ``conditional_drifts``,
+    where the method and its rounding are stated.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return DriftResult(*conditional_drifts(model, theta[None, :], eta, anchors, alpha)[0].tolist())
 
-    All n successors theta - eta * G_i come from one Jacobian, since the
-    per-sample gradient is G_i = r_i * J_i. Their residuals take one
-    `model.residuals` call, and their squared anchor distances come from the
-    expansion ||theta - a||^2 - 2 eta G_i . (theta - a) + eta^2 ||G_i||^2, one
-    product of O(n * K) memory. Each such distance has a relative error of
-    about p * eps * ((||theta - a|| + eta ||G_i||) / ||theta+ - a||)^2, where
-    theta+ = theta - eta G_i: it is large only when one step lands far closer
-    to an anchor than theta was. Drifts are averaged per successor against
-    base values taken from the same residual and squared distances, so a
-    successor equal to theta adds exactly 0 to the distance drift.
-    Successor rows are walked in blocks of at most DENSE_SVD_ENTRY_CAP
-    entries per array. `oracle.enumerate_sgd_expectation` is the
-    one-successor-at-a-time reference.
+
+def conditional_drifts(
+    model: Model,
+    thetas: Array,
+    eta: float,
+    anchors: AnchorSet,
+    alpha: float,
+    states: Array | None = None,
+) -> Array:
+    """Exact one-step drifts at thetas[states] (every row when states is None):
+    an (m, 3) array whose row k holds the (misfit, distance, potential)
+    drifts of ``exact_conditional_drift`` at thetas[states[k]].
+
+    Successor i of theta is theta - eta G_i, G_i = r_i J_i being sample i's
+    gradient. Drifts are averaged per successor against base values taken
+    from the same residual and squared distances, so a successor equal to
+    theta adds exactly 0 to the distance drift.
+
+    A GLM (the linear model too) has G_i = c_i x_i with c_i = r_i phi'(z_i),
+    z = X theta, so a block of states is evaluated at once, in
+    O(n^2 + nK + Kp) a state, from G = X X^T and the table T = X A^T of the
+    anchors' offsets A = P - center, both formed once a call. Successor i's
+    pre-activations are z - eta c_i G[i], and its squared distance to anchor
+    a is ||theta - a||^2 - 2 eta c_i (x_i . t - T[i, a]) + (eta c_i ||x_i||)^2
+    with t = theta - center. That value has an absolute error of about
+    p * eps * (||theta - a|| + s_i + ||t|| + ||a - center||)^2, s_i being the
+    step's length eta |c_i| ||x_i||: the two dot products of the cross term
+    are taken against the packing's center, not against theta or zero.
+    The other families take all n successors from one Jacobian, a state at a
+    time: their residuals take one `model.residuals` call, and their squared
+    distances come from ||theta - a||^2 - 2 eta G_i . (theta - a) +
+    eta^2 ||G_i||^2, with an error of about
+    p * eps * (||theta - a|| + eta ||G_i||)^2. Relative to
+    ||theta+ - a||^2, theta+ being the successor, either error is large only
+    when a step lands far closer to an anchor than theta and the packing's
+    scale. A GLM block holds at most _DRIFT_ENTRY_CAP entries per array, and
+    other families walk successors in blocks of at most DENSE_SVD_ENTRY_CAP;
+    thetas is read a block at a time, never copied whole.
+    `oracle.enumerate_sgd_expectation` is the one-successor-at-a-time
+    reference.
     """
     if model.n > ENUMERATION_CAP:
         raise CapacityError(f"n={model.n} exceeds enumeration cap {ENUMERATION_CAP}")
+    states = np.arange(len(thetas)) if states is None else np.asarray(states, dtype=int)
+    out = np.empty((len(states), 3))
+    if isinstance(model, GLMModel):
+        X = model.X
+        gram = X @ X.T
+        table = X @ (anchors.anchors - anchors.center).T
+        per_state = model.n * max(model.n, anchors.K) + anchors.K * model.p
+        rows = max(1, _DRIFT_ENTRY_CAP // per_state)
+        for first in range(0, len(states), rows):
+            block = thetas[states[first:first + rows]]
+            out[first:first + rows, :2] = _glm_drifts(model, block, eta, anchors, gram, table)
+    else:
+        for k, state in enumerate(states):
+            out[k, :2] = _jacobian_drift(model, thetas[state], eta, anchors)
+    out[:, 2] = MISFIT_WEIGHT * out[:, 0] + alpha * out[:, 1]
+    return out
+
+
+def _glm_drifts(model: GLMModel, thetas: Array, eta: float, anchors: AnchorSet,
+                gram: Array, table: Array) -> Array:
+    """(misfit, distance) drifts of a (m, p) block of GLM states, as (m, 2)."""
+    X, act = model.X, model.act
+    thetas = _as_params(thetas, model.p)
+    Z = thetas @ X.T  # (m, n)
+    R = act.phi(Z) - model.y
+    C = eta * R * act.dphi(Z)  # successor i moves theta by -C[:, i] x_i
+    succ = act.phi(Z[:, None, :] - C[:, :, None] * gram) - model.y  # (m, n, n)
+    d_misfit = (np.sqrt(np.vecdot(succ, succ)) - np.sqrt(np.vecdot(R, R))[:, None]).mean(axis=1)
+    offsets = thetas[:, None, :] - anchors.anchors  # (m, K, p)
+    base_sq = np.vecdot(offsets, offsets)
+    cross = ((thetas - anchors.center) @ X.T)[:, :, None] - table  # x_i . (theta - p_l)
+    step_sq = C * C * np.vecdot(X, X)
+    dist_sq = base_sq[:, None, :] - 2.0 * C[:, :, None] * cross + step_sq[:, :, None]
+    d_dist = (np.sqrt(np.maximum(dist_sq, 0.0)) - np.sqrt(base_sq)[:, None, :]).mean(axis=(1, 2))
+    return np.stack([d_misfit, d_dist], axis=1)
+
+
+def _jacobian_drift(model: Model, theta: Array, eta: float,
+                    anchors: AnchorSet) -> tuple[float, float]:
+    """(misfit, distance) drifts at one state, its successors from one Jacobian."""
     theta = np.asarray(theta, dtype=float)
     r = model.residual(theta)
     # Row i is per_sample_gradient(theta, i) only to rounding: jacobian_row takes
@@ -265,13 +338,7 @@ def exact_conditional_drift(
         dist_sq = base_sq - 2.0 * eta * (block @ offsets.T) + step_sq[:, None]
         sum_misfit += float(np.sum(misfits - base_misfit))
         sum_dist += float(np.sum(np.sqrt(np.maximum(dist_sq, 0.0)) - base_dist))
-    d_misfit = sum_misfit / model.n
-    d_dist = sum_dist / (model.n * anchors.K)
-    return DriftResult(
-        drift_misfit=d_misfit,
-        drift_dist=d_dist,
-        drift_potential=MISFIT_WEIGHT * d_misfit + alpha * d_dist,
-    )
+    return sum_misfit / model.n, sum_dist / (model.n * anchors.K)
 
 
 @dataclass(frozen=True)

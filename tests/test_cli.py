@@ -450,6 +450,37 @@ def test_experiment_lowrank_refuses_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lower-bound", "--alpha", "0", "--beta", "1"], "--alpha must be > 0, got 0"),
+    (["lower-bound", "--alpha", "x", "--beta", "1"],
+     "--alpha must be a finite number > 0, got 'x'"),
+    (["lower-bound", "--alpha", "1", "--beta", "inf"],
+     "--beta must be a finite number > 0, got 'inf'"),
+    (["lower-bound", "--alpha", "2", "--beta", "1"],
+     "--beta must be >= --alpha, got alpha=2, beta=1"),
+    (["lower-bound", "--alpha", "1", "--beta", "2", "--p", "1"], "--p must be >= 2, got 1"),
+    (["lower-bound", "--alpha", "1", "--beta", "2", "--iters", "0"],
+     "--iters must be >= 1, got 0"),
+    (["experiment-lowrank", "--n", "25", "--iters", "0"], "--iters must be >= 1, got 0"),
+    (["experiment-lowrank", "--n", "25", "--iters", "2.5"],
+     "--iters must be an integer >= 1, got '2.5'"),
+    (["experiment-lowrank", "--n", "25", "--seed", "x"],
+     "--seed must be an integer >= 0, got 'x'"),
+    (["experiment-lowrank", "--n", "x"], "experiment-lowrank supports n in {25, 50, 100, 200}"),
+], ids=["lb-alpha-0", "lb-alpha-x", "lb-beta-inf", "lb-beta-below-alpha", "lb-p-1",
+        "lb-iters-0", "lowrank-iters-0", "lowrank-iters-2.5", "lowrank-seed-x", "lowrank-n-x"])
+def test_flag_refusals_come_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance built before the flags were checked")
+
+    monkeypatch.setattr(cli.bnd, "make_lower_bound_instance", no_instance)
+    monkeypatch.setattr(cli, "lowrank_instance", no_instance)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
 @pytest.mark.parametrize("override", ["optimizer.seed=-3", "model.data_seed=-3"])
 def test_negative_seeds_refused_before_any_jacobian(tmp_path, monkeypatch, capsys,

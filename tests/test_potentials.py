@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overparam import geometry
+import tracemalloc
+
+from overparam import geometry, potentials
 from overparam.bounds import sgd_run_survives
 from overparam.descent import OptimConfig, Trajectory, run_sgd
 from overparam.geometry import TheoryPlan, probe_spectrum, sgd_plan
@@ -16,6 +18,7 @@ from overparam.potentials import (
     PackingInfeasibleError,
     anchor_distance,
     build_packing,
+    conditional_drifts,
     default_anchor_count,
     exact_conditional_drift,
     gd_potential,
@@ -264,20 +267,78 @@ def test_drift_enumeration_cap_refused_before_any_jacobian(monkeypatch):
 
 
 def test_drift_one_row_blocks_match_single_block(family, monkeypatch):
+    # Other families walk one state's successors in blocks of rows; a GLM walks
+    # blocks of states, here three states one at a time.
     model, theta = model_zoo(4)[family]
     pack = build_packing(theta, 1.0, 0.3, K=4, seed=4)
-    state = theta + 0.3 * np.random.default_rng(4).standard_normal(model.p)
-    whole = exact_conditional_drift(model, state, 0.05, pack, alpha=0.7)
+    states = theta + 0.3 * np.random.default_rng(4).standard_normal((3, model.p))
+    glm = isinstance(model, GLMModel)
+    if not glm:
+        states = states[:1]
+    whole = conditional_drifts(model, states, 0.05, pack, alpha=0.7)
     block_rows = []
-    residuals = type(model).residuals
-    monkeypatch.setattr(type(model), "residuals",
-                        lambda self, thetas: block_rows.append(len(thetas))
-                        or residuals(self, thetas))
-    monkeypatch.setattr(geometry, "DENSE_SVD_ENTRY_CAP", 1)
-    blocked = exact_conditional_drift(model, state, 0.05, pack, alpha=0.7)
-    assert block_rows == [1] * model.n
-    for field in ("drift_misfit", "drift_dist", "drift_potential"):
-        assert getattr(blocked, field) == pytest.approx(getattr(whole, field), rel=1e-14)
+    if glm:
+        blocks = potentials._glm_drifts
+        monkeypatch.setattr(potentials, "_glm_drifts", lambda model, thetas, *args:
+                            block_rows.append(len(thetas)) or blocks(model, thetas, *args))
+        monkeypatch.setattr(potentials, "_DRIFT_ENTRY_CAP", 1)
+    else:
+        residuals = type(model).residuals
+        monkeypatch.setattr(type(model), "residuals",
+                            lambda self, thetas: block_rows.append(len(thetas))
+                            or residuals(self, thetas))
+        monkeypatch.setattr(geometry, "DENSE_SVD_ENTRY_CAP", 1)
+    blocked = conditional_drifts(model, states, 0.05, pack, alpha=0.7)
+    assert block_rows == [1] * (3 if glm else model.n)
+    if glm:  # a block's products may round otherwise than the whole stack's
+        assert np.all(np.abs(blocked - whole) <= 1e-12 * (1.0 + np.abs(whole)))
+    else:
+        assert blocked == pytest.approx(whole, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["linear", "glm"]), seed=st.integers(0, 10_000),
+       block=st.integers(1, 8))
+def test_blocked_drifts_match_enumeration_at_every_state_of_a_run(name, seed, block):
+    model, theta = model_zoo(seed)[name]
+    pack = build_packing(theta, 1.0, 0.3, K=4, seed=seed)
+    eta = 0.25 / np.linalg.norm(model.jacobian(theta), 2) ** 2
+    traj = run_sgd(model, theta, OptimConfig(eta=eta, max_iters=20, seed=seed,
+                                             record_thetas=True))
+    # blocks of `block` states, the last one ragged unless block divides 21
+    cap = block * (model.n * max(model.n, pack.K) + pack.K * model.p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potentials, "_DRIFT_ENTRY_CAP", cap)
+        drifts = conditional_drifts(model, traj.thetas, eta, pack, alpha=0.7)
+        picked = conditional_drifts(model, traj.thetas, eta, pack, alpha=0.7,
+                                    states=[19, 2, 7])
+    assert drifts.shape == (21, 3)
+    # other blocks, so other product bits: within the enumeration's tolerance
+    assert np.all(np.abs(picked - drifts[[19, 2, 7]]) <= 1e-12 * (1.0 + np.abs(picked)))
+    for state, got in zip(traj.thetas, drifts):
+        want = _enumerated_drift(model, state, eta, pack, alpha=0.7)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        single = exact_conditional_drift(model, state, eta, pack, alpha=0.7)
+        assert [single.drift_misfit, single.drift_dist, single.drift_potential] == \
+            pytest.approx(got, rel=1e-12, abs=1e-15)
+
+
+def test_glm_drifts_read_the_states_a_block_at_a_time():
+    # 100,000 states as a broadcast view of one theta: a copy of them would take
+    # 48 MB, while the drifts' blocks hold a few arrays of _DRIFT_ENTRY_CAP entries.
+    rng = np.random.default_rng(2)
+    model = GLMModel(rng.standard_normal((3, 60)), rng.standard_normal(3), tanh_linear(0.3))
+    theta = 0.1 * rng.standard_normal(60)
+    pack = build_packing(theta, 1.0, 0.3, K=4, seed=2)
+    thetas = np.broadcast_to(theta, (100_000, 60))
+    tracemalloc.start()
+    try:
+        drifts = conditional_drifts(model, thetas, 0.01, pack, alpha=0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drifts == pytest.approx(np.broadcast_to(drifts[0], drifts.shape), rel=1e-12)
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------
