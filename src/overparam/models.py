@@ -144,9 +144,11 @@ class Model:
 
     Subclasses implement ``predictions`` and ``factors``; everything else
     derives from those, ``jacobian`` and ``pullback`` (through which
-    ``gradient`` reaches J^T r) included. Families override ``jacobian_row``
-    with an O(p) path; ``LowRankModel`` also overrides ``pullback``, because
-    its factor is the dense Jacobian.
+    ``gradient`` reaches J^T r) included. The net and low-rank families,
+    whose SGD steps go through ``per_sample_gradient``, override
+    ``jacobian_row`` with an O(p) path; GLM SGD steps on a kept X theta
+    instead. ``LowRankModel`` also overrides ``pullback``, because its
+    factor is the dense Jacobian.
     ``predictions``, ``factors``, ``jacobian_row`` and ``pullback`` check
     theta (shape (p,), finite, else ValueError); ``residual``,
     ``per_sample_gradient`` and the rest rely on them. The only state a model
@@ -176,14 +178,6 @@ class Model:
         """f(theta) - y, componentwise (``predictions`` validates theta)."""
         return self.predictions(theta) - self.y
 
-    def residuals(self, thetas: Array) -> Array:
-        """Residuals of a stack of parameters: (m, p) -> (m, n), row by row.
-
-        Families with a closed form override this with one batched product.
-        """
-        thetas = _as_params(thetas, self.p)
-        return np.array([self.residual(theta) for theta in thetas]).reshape(len(thetas), self.n)
-
     def misfit(self, theta: Array) -> float:
         """Euclidean norm of the residual."""
         return vector_norm(self.residual(theta))
@@ -208,7 +202,7 @@ class Model:
         return self.pullback(theta, self.residual(theta) if r is None else r)
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
-        """Row i of the Jacobian; subclasses override with a cheap path."""
+        """Row i of the Jacobian; the net and low-rank families override it with an O(p) path."""
         return self.jacobian(theta)[i]
 
     def per_sample_gradient(self, theta: Array, i: int, r: Array | None = None) -> Array:
@@ -243,16 +237,9 @@ class GLMModel(Model):
     def predictions(self, theta: Array) -> Array:
         return self.act.phi(self.pre_activations(theta))
 
-    def residuals(self, thetas: Array) -> Array:
-        return self.act.phi(_as_params(thetas, self.p) @ self.X.T) - self.y
-
     def factors(self, theta: Array) -> tuple[Array, Array]:
         """(dphi(X theta) as a column, X): row r of the Jacobian is dphi(x_r . theta) x_r."""
         return self.act.dphi(self.pre_activations(theta))[:, None], self.X
-
-    def jacobian_row(self, theta: Array, i: int) -> Array:
-        theta = _as_param(theta, self.p)
-        return self.act.dphi(self.X[i] @ theta) * self.X[i]
 
 
 class LinearModel(GLMModel):

@@ -266,8 +266,8 @@ def conditional_drifts(
     step's length eta |c_i| ||x_i||: the two dot products of the cross term
     are taken against the packing's center, not against theta or zero.
     The other families take all n successors from one Jacobian, a state at a
-    time: their residuals take one `model.residuals` call, and their squared
-    distances come from ||theta - a||^2 - 2 eta G_i . (theta - a) +
+    time: each successor's residual is one `model.residual` call, and their
+    squared distances come from ||theta - a||^2 - 2 eta G_i . (theta - a) +
     eta^2 ||G_i||^2, with an error of about
     p * eps * (||theta - a|| + eta ||G_i||)^2. Relative to
     ||theta+ - a||^2, theta+ being the successor, either error is large only
@@ -323,7 +323,7 @@ def _jacobian_drift(model: Model, theta: Array, eta: float,
     theta = np.asarray(theta, dtype=float)
     r = model.residual(theta)
     # Row i is per_sample_gradient(theta, i) only to rounding: jacobian_row takes
-    # x_i . theta as a dot product, J's rows come from X theta, and last bits differ.
+    # sample i's own products, J's rows whole-batch ones, and last bits may differ.
     grads = r[:, None] * model.jacobian(theta)
     offsets = theta[None, :] - anchors.anchors  # (K, p)
     base_sq = np.einsum("kp,kp->k", offsets, offsets)
@@ -333,7 +333,7 @@ def _jacobian_drift(model: Model, theta: Array, eta: float,
     sum_misfit = sum_dist = 0.0
     for start in range(0, model.n, rows):
         block = grads[start:start + rows]
-        misfits = np.linalg.norm(model.residuals(theta[None, :] - eta * block), axis=1)
+        misfits = np.linalg.norm([model.residual(s) for s in theta - eta * block], axis=1)
         step_sq = eta * eta * np.einsum("ip,ip->i", block, block)
         dist_sq = base_sq - 2.0 * eta * (block @ offsets.T) + step_sq[:, None]
         sum_misfit += float(np.sum(misfits - base_misfit))

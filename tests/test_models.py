@@ -286,42 +286,6 @@ def test_per_sample_gradients_sum_to_gradient(family, seed):
     assert_allclose(total, g, rtol=1e-12, atol=1e-12 * (1 + np.linalg.norm(g)))
 
 
-finite = st.floats(-10, 10)
-
-
-@st.composite
-def linear_problems(draw):
-    """X (n, p), y (n,) and a stack of m parameter rows, all finite."""
-    n = draw(st.integers(1, 6))
-    p = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 5))
-    return (draw(arrays(np.float64, (n, p), elements=finite)),
-            draw(arrays(np.float64, n, elements=finite)),
-            draw(arrays(np.float64, (m, p), elements=finite)))
-
-
-@given(linear_problems(), st.sampled_from(["linear", "glm"]))
-def test_closed_form_residuals_match_row_loop(problem, kind):
-    X, y, thetas = problem
-    model = LinearModel(X, y) if kind == "linear" else GLMModel(X, y, tanh_linear(0.3))
-    got = model.residuals(thetas)
-    loop = np.array([model.residual(theta) for theta in thetas])
-    assert got.shape == loop.shape
-    # relative to the size of the terms, which bounds the rounding of X theta - y
-    scale = np.abs(thetas) @ np.abs(X).T + np.abs(y)
-    assert np.all(np.abs(got - loop) <= 1e-12 * (1.0 + scale))
-
-
-@pytest.mark.parametrize("name", ["linear", "glm", "lowrank", "net"])
-@given(st.sampled_from([np.inf, -np.inf, np.nan]), st.integers(0, 2), st.integers(0, 100))
-def test_residuals_reject_non_finite_rows(name, bad, row, col):
-    model, theta = model_zoo(0)[name]
-    thetas = np.tile(theta, (3, 1))
-    thetas[row, col % model.p] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        model.residuals(thetas)
-
-
 PUBLIC_THETA_CALLS = {
     "predictions": lambda m, th: m.predictions(th),
     "residual": lambda m, th: m.residual(th),
@@ -367,28 +331,12 @@ def test_vector_norm_is_numpy_norm_bitwise(n, scale, data):
         assert _bits(vector_norm(v[::2].copy())) == _bits(np.linalg.norm(v[::2]))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_residuals_match_residual_on_every_family(family, seed):
-    model, theta = model_zoo(seed)[family]
-    thetas = theta + np.random.default_rng(seed).standard_normal((4, model.p))
-    got = model.residuals(thetas)
-    loop = np.array([model.residual(t) for t in thetas])
-    if type(model).residuals is Model.residuals:  # the base class loops over residual
-        assert np.array_equal(got, loop)
-    else:
-        assert_allclose(got, loop, rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError, match="shape"):
-        model.residuals(theta)
-
-
 def test_glm_identity_bit_identical_to_linear():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((6, 10))
     y = rng.standard_normal(6)
     lin = LinearModel(X, y)
     glm = GLMModel(X, y, identity_activation())
-    thetas = np.random.default_rng(99).standard_normal((3, 10))
-    assert np.array_equal(lin.residuals(thetas), thetas @ X.T - y)
     for seed in range(5):
         theta = np.random.default_rng(seed).standard_normal(10)
         r = X @ theta - y

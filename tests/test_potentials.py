@@ -282,14 +282,13 @@ def test_drift_one_row_blocks_match_single_block(family, monkeypatch):
         monkeypatch.setattr(potentials, "_glm_drifts", lambda model, thetas, *args:
                             block_rows.append(len(thetas)) or blocks(model, thetas, *args))
         monkeypatch.setattr(potentials, "_DRIFT_ENTRY_CAP", 1)
-    else:
-        residuals = type(model).residuals
-        monkeypatch.setattr(type(model), "residuals",
-                            lambda self, thetas: block_rows.append(len(thetas))
-                            or residuals(self, thetas))
+    else:  # one residual at the state, then one a successor
+        residual = type(model).residual
+        monkeypatch.setattr(type(model), "residual",
+                            lambda self, theta: block_rows.append(1) or residual(self, theta))
         monkeypatch.setattr(geometry, "DENSE_SVD_ENTRY_CAP", 1)
     blocked = conditional_drifts(model, states, 0.05, pack, alpha=0.7)
-    assert block_rows == [1] * (3 if glm else model.n)
+    assert block_rows == [1] * (3 if glm else 1 + model.n)
     if glm:  # a block's products may round otherwise than the whole stack's
         assert np.all(np.abs(blocked - whole) <= 1e-12 * (1.0 + np.abs(whole)))
     else:
