@@ -116,12 +116,16 @@ def build_packing(
     The first anchor is the center itself; the rest are drawn uniformly in
     the ball and accepted when far enough from everything already placed.
     Deterministic under the seed. Raises PackingInfeasibleError (reporting
-    the achieved count) when max_attempts draws are exhausted.
+    the achieved count) when max_attempts draws are exhausted. Sampling and
+    ``verify_packing`` take O(K^2 p), so K above ENUMERATION_CAP raises
+    CapacityError before any draw.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if K > ENUMERATION_CAP:
+        raise CapacityError(f"K={K} anchors exceed enumeration cap {ENUMERATION_CAP}")
     center = np.asarray(center, dtype=float)
     if max_attempts is None:
         max_attempts = 100_000 * K

@@ -1,9 +1,10 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from overparam import cli
+from overparam import cli, potentials
 from overparam.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
@@ -169,6 +170,26 @@ def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
     )
     assert main([command, "--config", cfg, "--quiet",
                  "--out", str(tmp_path / "cap")]) == EXIT_CAPACITY
+
+
+@pytest.mark.parametrize("command", ["run", "sgd-martingale"])
+def test_anchor_count_above_the_cap_refused_before_any_draw(tmp_path, monkeypatch, capsys,
+                                                            command):
+    # Rejection sampling and the packing check are O(K^2 p): K = 40,000 ran for minutes.
+    def no_draws(*args):
+        raise AssertionError("anchors drawn before the capacity check")
+
+    # The probe draws its own points; only the packing's draws are refused.
+    monkeypatch.setattr(potentials, "geometry", SimpleNamespace(sample_ball=no_draws))
+    cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd")
+                .replace("iters = 2000", "iters = 5") + "diag.anchors = on\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "diag.anchor_count=10001", "--quiet",
+                 "--out", str(out)])
+    assert code == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        "capacity error: K=10001 anchors exceed enumeration cap 10000\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
