@@ -336,6 +336,9 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         traj = run_pl_gd(loss_fn, theta0, run_cfg, mu)
         report.extend(bnd.check_pl_theorems(traj, mu, smooth_L, loss0))
 
+    if traj.termination == "non_finite":  # a diverged run fails whatever its envelopes say
+        report.add("finite_iterates", "run", math.inf, 0.0,
+                   note=f"the loss or theta overflowed; abort_iter={traj.abort_iter}")
     summary.append(f"termination: {traj.termination} after {int(traj.iters[-1])} iterations")
     summary.append(report.to_text())
 

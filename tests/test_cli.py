@@ -122,12 +122,12 @@ def test_divergent_glm_run_checks_without_warnings(tmp_path):
 
 
 @pytest.mark.parametrize("eta", ["1e300", "1e308"])
-@pytest.mark.parametrize("kind, exit_code", [("gd", EXIT_VIOLATION), ("sgd", EXIT_OK),
-                                             ("pl", EXIT_VIOLATION)])
-def test_overflowing_first_step_ends_the_run_non_finite(tmp_path, kind, exit_code, eta):
+@pytest.mark.parametrize("kind", ["gd", "sgd", "pl"])
+def test_overflowing_first_step_ends_the_run_non_finite(tmp_path, kind, eta):
     # At eta = 1e300 the first step overflows only the loss; at 1e308 it overflows
     # theta itself. Both end the run as non_finite at iteration 1, its last row
-    # reading loss = misfit = inf, and neither is a parameter error.
+    # reading loss = misfit = inf, and neither is a parameter error. The run fails
+    # its finite_iterates row, so sgd, whose one envelope row still passes, exits 1.
     text = (GLM_RUN.replace("kind = gd", f"kind = {kind}").replace("eta = auto", f"eta = {eta}")
             + "optimizer.seed = 1\n")
     out = tmp_path / "out"
@@ -135,7 +135,10 @@ def test_overflowing_first_step_ends_the_run_non_finite(tmp_path, kind, exit_cod
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["run", "--config", write(tmp_path, "ovf.cfg", text), "--out", str(out),
                      "--quiet"])
-    assert code == exit_code
+    assert code == EXIT_VIOLATION
+    assert (out / "bounds.csv").read_text().splitlines()[-1] == "finite_iterates,run,inf,fail"
+    assert ("[        fail] run/finite_iterates: max violation inf (tolerance 0) -- the loss "
+            "or theta overflowed; abort_iter=1\n") in (out / "summary.txt").read_text()
     traj = Trajectory.load(out / "trajectory.csv")
     assert (traj.termination, traj.abort_iter) == ("non_finite", 1)
     assert (traj.loss[-1], traj.misfit[-1]) == (np.inf, np.inf)
