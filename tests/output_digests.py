@@ -25,6 +25,7 @@ import importlib.util
 import io
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -204,33 +205,24 @@ def compare_entry(want: dict, got: dict, bitwise: bool) -> tuple[list[str], str]
     return problems, how
 
 
-def record(work: Path) -> dict:
-    prepare_work(work)
-    return {
-        "fingerprint": fingerprint(),
-        "commands": {label: run_command(label, kind, argv, work)
-                     for label, kind, argv in MATRIX},
-    }
-
-
 def load_table() -> dict:
     return json.loads(TABLE.read_text(encoding="utf-8"))
 
 
 def main() -> int:
-    import tempfile
-
+    """Rerun the matrix, rewrite the table and name the commands that moved."""
     old = load_table()["commands"] if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        table = record(Path(tmp))
-    TABLE.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tmp)
+        prepare_work(work)
+        commands = {label: run_command(label, kind, argv, work) for label, kind, argv in MATRIX}
     # One command a line, so a diff of the table names the commands that moved.
     lines = ",\n".join(f"  {json.dumps(label)}: {json.dumps(entry, sort_keys=True)}"
-                       for label, entry in table["commands"].items())
-    TABLE.write_text(f'{{"fingerprint": {json.dumps(table["fingerprint"], sort_keys=True)},\n'
+                       for label, entry in commands.items())
+    TABLE.write_text(f'{{"fingerprint": {json.dumps(fingerprint(), sort_keys=True)},\n'
                      f' "commands": {{\n{lines}\n }}\n}}\n', encoding="utf-8")
-    moved = [label for label, entry in table["commands"].items() if old.get(label) != entry]
-    print(f"wrote {TABLE.relative_to(ROOT)}: {len(table['commands'])} commands, "
+    moved = [label for label, entry in commands.items() if old.get(label) != entry]
+    print(f"wrote {TABLE.relative_to(ROOT)}: {len(commands)} commands, "
           f"{len(moved)} moved or new" + "".join(f"\n  {label}" for label in moved))
     return 0
 

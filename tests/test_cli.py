@@ -122,8 +122,9 @@ def test_divergent_glm_run_checks_without_warnings(tmp_path):
 
 
 @pytest.mark.parametrize("eta", ["1e300", "1e308"])
-@pytest.mark.parametrize("kind", ["gd", "sgd", "pl"])
-def test_overflowing_first_step_ends_the_run_non_finite(tmp_path, kind, eta):
+@pytest.mark.parametrize("kind, exit_code", [("gd", EXIT_VIOLATION), ("sgd", EXIT_VIOLATION),
+                                             ("pl", EXIT_VIOLATION)])
+def test_overflowing_first_step_ends_the_run_non_finite(tmp_path, kind, exit_code, eta):
     # At eta = 1e300 the first step overflows only the loss; at 1e308 it overflows
     # theta itself. Both end the run as non_finite at iteration 1, its last row
     # reading loss = misfit = inf, and neither is a parameter error. The run fails
@@ -135,7 +136,7 @@ def test_overflowing_first_step_ends_the_run_non_finite(tmp_path, kind, eta):
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["run", "--config", write(tmp_path, "ovf.cfg", text), "--out", str(out),
                      "--quiet"])
-    assert code == EXIT_VIOLATION
+    assert code == exit_code
     assert (out / "bounds.csv").read_text().splitlines()[-1] == "finite_iterates,run,inf,fail"
     assert ("[        fail] run/finite_iterates: max violation inf (tolerance 0) -- the loss "
             "or theta overflowed; abort_iter=1\n") in (out / "summary.txt").read_text()
@@ -178,7 +179,7 @@ def test_capacity_refused_before_any_jacobian(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("command", ["run", "sgd-martingale"])
 def test_anchor_count_above_the_cap_refused_before_any_draw(tmp_path, monkeypatch, capsys,
                                                             command):
-    # Rejection sampling and the packing check are O(K^2 p): K = 40,000 ran for minutes.
+    # Rejection sampling and the packing check take O(K^2 p) time.
     def no_draws(*args):
         raise AssertionError("anchors drawn before the capacity check")
 
