@@ -103,9 +103,17 @@ def _matrix() -> list[tuple[str, str, list[str]]]:
     # Exit 2: a parameter error and a config error.
     out.append(("run_net_rate_one", "run", ["run", "--config", "net_rate_one.cfg"]))
     out.append(("run_unknown_key", "run", ["run", "--config", "unknown_key.cfg"]))
-    # Exit 3: a capacity error and an io error.
+    # Exit 3: a capacity error, and an io error for every command.
     out.append(("run_too_big", "run", ["run", "--config", "too_big.cfg"]))
     out.append(("run_io_error", "run", ["run", "--config", "glm0.cfg", "optimizer.iters=5"]))
+    out.append(("verify_io_error", "verify", ["verify", "--config", "glm0.cfg"]))
+    out.append(("martingale_io_error", "sgd-martingale",
+                ["sgd-martingale", "--config", "glm0.cfg", "optimizer.kind=sgd",
+                 "optimizer.iters=5"]))
+    out.append(("lower_bound_io_error", "lower-bound",
+                ["lower-bound", "--alpha", "1", "--beta", "2", "--iters", "5"]))
+    out.append(("experiment_lowrank_io_error", "experiment-lowrank",
+                ["experiment-lowrank", "--n", "25", "--iters", "5"]))
     return out
 
 
@@ -113,7 +121,7 @@ MATRIX = _matrix()
 
 
 def out_dir(label: str) -> str:
-    return f"{BLOCKER}/{label}" if label == "run_io_error" else f"out/{label}"
+    return f"{BLOCKER}/{label}" if label.endswith("_io_error") else f"out/{label}"
 
 
 def fingerprint() -> dict:
