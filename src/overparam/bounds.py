@@ -77,6 +77,10 @@ class BoundReport:
                 f"{row.name},{row.group},{row.max_violation:.17g},{row.status}\n"
             )
 
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            self.to_csv(fh)
+
     def to_text(self) -> str:
         lines = []
         for row in self.rows:

@@ -3,7 +3,11 @@
 Exit code contract: 0 all enabled checks pass, 1 a bound check failed or the
 geometry could not be certified, 2 configuration error, 3 capacity or IO
 error, 4 internal error (any other exception, reported with its traceback
-on stderr). Output files land in --out, else $OVERPARAM_OUT_DIR, else the cwd.
+on stderr). Output files land in --out, else the config's output.dir, else
+$OVERPARAM_OUT_DIR, else the cwd. A command writes them, and echoes its
+report, only after all its work (`_write_outputs`), so a command refused or
+stopped by an error leaves no output directory; a file standing on the
+output path is refused before any work.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import math
 import os
 import sys
 import traceback
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -205,16 +211,8 @@ def auto_probe_radius(cfg: RunConfig, model: Model, theta0: Array, misfit0: floa
     return scale * misfit0 / alpha0
 
 
-def prepare(cfg: RunConfig,
-            reads_nu: bool = False) -> tuple[Model, Array, float, SpectrumBounds]:
-    """Build the configured instance and probe its Jacobian spectrum around theta0.
-
-    diag.nu is checked first, before any model is built, when the command
-    reads it: an sgd run (its probe radius and plan) or `reads_nu` (verify
-    prints the sgd plan whatever the optimizer).
-    """
-    if (reads_nu or cfg.optimizer == "sgd") and not (math.isfinite(cfg.nu) and cfg.nu >= 3.0):
-        raise ConfigError(f"diag.nu must be a finite number >= 3, got {cfg.nu!r}")
+def prepare(cfg: RunConfig) -> tuple[Model, Array, float, SpectrumBounds]:
+    """Build the configured instance and probe its Jacobian spectrum around theta0."""
     model, theta0 = build_model(cfg)
     check_probeable(model)
     misfit0 = model.misfit(theta0)
@@ -243,10 +241,70 @@ def anchor_packing(cfg: RunConfig, model: Model, theta0: Array, misfit0: float,
 
 
 # ---------------------------------------------------------------------------
-# Run pipeline
+# Experiment drivers
 # ---------------------------------------------------------------------------
 
-def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+def run_lowrank_experiment(n: int, seed: int, iters: int = 200) -> tuple[Trajectory, float, float]:
+    """One trajectory of the low-rank study; returns (trajectory, eta, c1)."""
+    model, theta0 = lowrank_instance(n, seed)
+    eta, c1 = auto_tune_lowrank_eta(model, theta0)
+    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters))
+    return traj, eta, c1
+
+
+# ---------------------------------------------------------------------------
+# Commands
+# ---------------------------------------------------------------------------
+
+def _load_with_overrides(args, reads_nu: bool = False) -> RunConfig:
+    """The config with its overrides and flags applied. diag.nu is checked here,
+    before any model is built, when the command reads it: an sgd run (its probe
+    radius and plan), or `reads_nu` (verify prints the sgd plan in any case)."""
+    cfg = load_config(args.config)
+    overrides: dict[str, str] = {}
+    for item in args.override:
+        if "=" not in item:
+            raise ConfigError(f"override must look like key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        overrides[key.strip()] = value.strip()
+    # A flag's dest is its config key (see _FLAG_KEYS); flags win over overrides.
+    overrides.update((key, value) for key, value in vars(args).items()
+                     if "." in key and value is not None)
+    cfg = apply_overrides(cfg, overrides)
+    if (reads_nu or cfg.optimizer == "sgd") and not (math.isfinite(cfg.nu) and cfg.nu >= 3.0):
+        raise ConfigError(f"diag.nu must be a finite number >= 3, got {cfg.nu!r}")
+    return cfg
+
+
+def _out_dir(args, cfg: RunConfig | None = None) -> Path:
+    """--out, else the config's output.dir, else $OVERPARAM_OUT_DIR, else the cwd.
+
+    Nothing is made here unless a file stands on the path (the directory
+    itself or a parent): then mkdir runs at once, and its error refuses the
+    command before any work.
+    """
+    out = Path(args.out or (cfg and cfg.out_dir) or os.environ.get("OVERPARAM_OUT_DIR")
+               or Path.cwd())
+    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_outputs(out: Path, name: str, text: str, quiet: bool,
+                   files: dict[str, Callable[[Path], None]]) -> None:
+    """Make out, call each writer in files with out / its file name in order,
+    write the report text to out / name, and echo it unless quiet."""
+    out.mkdir(parents=True, exist_ok=True)
+    for file_name, write in files.items():
+        write(out / file_name)
+    (out / name).write_text(text, encoding="utf-8")
+    if not quiet:
+        sys.stdout.write(text)
+
+
+def cmd_run(args) -> int:
+    cfg = _load_with_overrides(args)
+    out = _out_dir(args, cfg)
     model, theta0, misfit0, bounds = prepare(cfg)
     tol = default_tolerance(model.y) if cfg.tol is None else cfg.tol
     eta, eta_note = resolve_eta(cfg, model, theta0, bounds)
@@ -262,6 +320,7 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     summary.append(f"eta={eta:.17g} ({eta_note}) tol={tol:.10g} misfit0={misfit0:.17g}")
 
     report = bnd.BoundReport()
+    anchors = None
     opt = cfg.optimizer
     if opt == "gd":
         plan = gd_plan(bounds, misfit0, cfg.regime, cfg.lam, eta=eta)
@@ -304,7 +363,6 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             f"plan: radius_R={plan.radius_R:.10g} eta={plan.eta:.10g} "
             f"rate={plan.rate:.10g} nu={plan.nu:g} fail_prob={plan.fail_prob:.10g}"
         )
-        anchors = None
         if cfg.anchors:
             anchors = anchor_packing(cfg, model, theta0, misfit0, bounds)
             summary.append(f"anchors: K={anchors.K} epsilon={anchors.epsilon:.10g} "
@@ -342,68 +400,17 @@ def run_pipeline(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     summary.append(f"termination: {traj.termination} after {int(traj.iters[-1])} iterations")
     summary.append(report.to_text())
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if opt == "sgd" and cfg.anchors and anchors is not None:
-        save_packing(anchors, out_dir / "anchors.txt")
-    traj.save(out_dir / "trajectory.csv")
-    with open(out_dir / "bounds.csv", "w", encoding="utf-8", newline="\n") as fh:
-        report.to_csv(fh)
-    summary_text = "\n".join(summary) + "\n"
-    (out_dir / "summary.txt").write_text(summary_text, encoding="utf-8")
-    if not quiet:
-        sys.stdout.write(summary_text)
+    files = {"trajectory.csv": traj.save, "bounds.csv": report.save}
+    if anchors is not None:
+        files["anchors.txt"] = partial(save_packing, anchors)
+    _write_outputs(out, "summary.txt", "\n".join(summary) + "\n", args.quiet, files)
     return EXIT_OK if report.all_passed else EXIT_VIOLATION
 
 
-# ---------------------------------------------------------------------------
-# Experiment drivers
-# ---------------------------------------------------------------------------
-
-def run_lowrank_experiment(n: int, seed: int, iters: int = 200) -> tuple[Trajectory, float, float]:
-    """One trajectory of the low-rank study; returns (trajectory, eta, c1)."""
-    model, theta0 = lowrank_instance(n, seed)
-    eta, c1 = auto_tune_lowrank_eta(model, theta0)
-    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters))
-    return traj, eta, c1
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-def _load_with_overrides(args) -> RunConfig:
-    cfg = load_config(args.config)
-    overrides: dict[str, str] = {}
-    for item in args.override:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    # A flag's dest is its config key (see _FLAG_KEYS); flags win over overrides.
-    overrides.update((key, value) for key, value in vars(args).items()
-                     if "." in key and value is not None)
-    return apply_overrides(cfg, overrides)
-
-
-def _out_dir(args, cfg: RunConfig | None = None) -> Path:
-    if args.out:
-        return Path(args.out)
-    if cfg is not None and cfg.out_dir:
-        return Path(cfg.out_dir)
-    env = os.environ.get("OVERPARAM_OUT_DIR")
-    if env:
-        return Path(env)
-    return Path.cwd()
-
-
-def cmd_run(args) -> int:
-    cfg = _load_with_overrides(args)
-    return run_pipeline(cfg, _out_dir(args, cfg), quiet=args.quiet)
-
-
 def cmd_verify(args) -> int:
-    cfg = _load_with_overrides(args)
-    model, theta0, misfit0, bounds = prepare(cfg, reads_nu=True)
+    cfg = _load_with_overrides(args, reads_nu=True)
+    out = _out_dir(args, cfg)
+    model, theta0, misfit0, bounds = prepare(cfg)
     assumptions = verify_assumptions(
         model, bounds, lam=cfg.lam,
         samples=max(8, cfg.probe_samples // 2),
@@ -430,12 +437,7 @@ def cmd_verify(args) -> int:
         lines.append(f"plan unavailable: {exc}")
     for key, value in block.items():
         lines.append(f"{key}={value:.17g}" if isinstance(value, float) else f"{key}={value}")
-    text = "\n".join(lines) + "\n"
-    if not args.quiet:
-        sys.stdout.write(text)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "verify.txt").write_text(text, encoding="utf-8")
+    _write_outputs(out, "verify.txt", "\n".join(lines) + "\n", args.quiet, {})
     ok = assumptions.bounded_ok if cfg.regime == "bounded" else assumptions.smooth_ok
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -470,23 +472,20 @@ def cmd_lower_bound(args) -> int:
         raise ConfigError(f"--beta must be >= --alpha, got alpha={alpha:g}, beta={beta:g}")
     p = _number_flag(args, "p", int, 2)
     iters = _number_flag(args, "iters", int, 1)
+    out = _out_dir(args)
     model, theta0 = bnd.make_lower_bound_instance(alpha, beta, p, args.mode)
     if eta is None:
         eta = 0.5 / beta**2
     traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters))
     coefficient = bnd.tight_line_coefficient(alpha, beta, args.mode)
     (line,) = bnd.check_tight_line(traj, coefficient).rows
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    traj.save(out / f"lower_bound_{args.mode}.csv")
     text = (
         f"alpha={alpha:g} beta={beta:g} p={p} mode={args.mode}\n"
         f"max deviation from the tradeoff line: {line.max_violation:.17g} "
         f"(tolerance {line.tolerance:.6g})\n"
     )
-    (out / f"lower_bound_{args.mode}_report.txt").write_text(text, encoding="utf-8")
-    if not args.quiet:
-        sys.stdout.write(text)
+    _write_outputs(out, f"lower_bound_{args.mode}_report.txt", text, args.quiet,
+                   {f"lower_bound_{args.mode}.csv": traj.save})
     return EXIT_OK if line.passed else EXIT_VIOLATION
 
 
@@ -500,20 +499,17 @@ def cmd_experiment_lowrank(args) -> int:
     seed = _number_flag(args, "seed", int, 0)
     iters = _number_flag(args, "iters", int, 1)
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = []
+    lines, files = [], {}
     for n in sizes:
         traj, eta, c1 = run_lowrank_experiment(n, seed, iters=iters)
-        traj.save(out / f"lowrank_n{n}_seed{seed}.csv")
+        files[f"lowrank_n{n}_seed{seed}.csv"] = traj.save
         lines.append(
             f"n={n} seed={seed} c1={c1:.17g} eta={eta:.17g} "
             f"final_norm_misfit={traj.norm_misfit[-1]:.10g} "
             f"final_norm_dist={traj.norm_dist[-1]:.10g}"
         )
-    text = "\n".join(lines) + "\n"
-    (out / f"lowrank_summary_seed{seed}.txt").write_text(text, encoding="utf-8")
-    if not args.quiet:
-        sys.stdout.write(text)
+    _write_outputs(out, f"lowrank_summary_seed{seed}.txt", "\n".join(lines) + "\n",
+                   args.quiet, files)
     return EXIT_OK
 
 
@@ -521,6 +517,7 @@ def cmd_sgd_martingale(args) -> int:
     cfg = _load_with_overrides(args)
     if cfg.optimizer != "sgd":
         raise ConfigError("sgd-martingale needs optimizer.kind = sgd")
+    out = _out_dir(args, cfg)
     model, theta0, misfit0, bounds = prepare(cfg)
     plan = sgd_plan(bounds, misfit0, nu=cfg.nu, regime=cfg.regime, eta=cfg.eta)
     anchors = anchor_packing(cfg, model, theta0, misfit0, bounds)
@@ -529,27 +526,16 @@ def cmd_sgd_martingale(args) -> int:
     )
     traj = run_sgd(model, theta0, run_cfg)
 
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    save_packing(anchors, out / "anchors.txt")
-    inside = in_working_ball(traj.dist_init, traj.misfit, plan.nu / 2.0, misfit0, bounds.alpha)
-    drifts = iter(conditional_drifts(model, traj.thetas, plan.eta, anchors, bounds.alpha,
-                                     np.flatnonzero(inside)).tolist())
-    worst = -math.inf
-    checked = 0
-    with open(out / "martingale.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iter,in_half_ball,drift_misfit,drift_dist,drift_potential\n")
-        for idx in range(len(traj.iters)):
-            if inside[idx]:
-                drift_misfit, drift_dist, drift_potential = next(drifts)
-                worst = max(worst, drift_potential)
-                checked += 1
-                fh.write(
-                    f"{int(traj.iters[idx])},1,{drift_misfit:.17g},"
-                    f"{drift_dist:.17g},{drift_potential:.17g}\n"
-                )
-            else:
-                fh.write(f"{int(traj.iters[idx])},0,,,\n")
+    inside = np.flatnonzero(in_working_ball(traj.dist_init, traj.misfit, plan.nu / 2.0,
+                                            misfit0, bounds.alpha))
+    drifts = conditional_drifts(model, traj.thetas, plan.eta, anchors, bounds.alpha, inside)
+    iters = traj.iters.tolist()
+    rows = ["iter,in_half_ball,drift_misfit,drift_dist,drift_potential\n",
+            *("%d,0,,,\n" % it for it in iters)]
+    for idx, drift in zip(inside.tolist(), drifts.tolist()):
+        rows[idx + 1] = "%d,1,%.17g,%.17g,%.17g\n" % (iters[idx], *drift)
+    checked = len(drifts)
+    worst = max([-math.inf, *drifts[:, 2].tolist()])
     text = (
         f"checked {checked}/{len(traj.iters)} states inside the half ball; "
         f"max potential drift {worst:.17g} (tolerance 1e-12)\n"
@@ -557,9 +543,11 @@ def cmd_sgd_martingale(args) -> int:
     if cfg.eta is not None and cfg.eta > plan.eta:
         text += (f"requested step size {cfg.eta:.17g} exceeds the certified cap; "
                  f"ran at the cap {plan.eta:.17g}\n")
-    (out / "martingale_summary.txt").write_text(text, encoding="utf-8")
-    if not args.quiet:
-        sys.stdout.write(text)
+    _write_outputs(out, "martingale_summary.txt", text, args.quiet, {
+        "anchors.txt": partial(save_packing, anchors),
+        "martingale.csv": lambda path: path.write_text("".join(rows), encoding="utf-8",
+                                                       newline="\n"),
+    })
     return EXIT_OK if checked > 0 and worst <= 1e-12 else EXIT_VIOLATION
 
 

@@ -6,12 +6,15 @@ single-sample stochastic gradient descent, and gradient descent on a general
 loss under a local gradient-dominance condition. Each step of the two
 least-squares runs evaluates the model's forward pass once: the residual
 measured for the misfit column is the one the next step pulls back through
-the Jacobian (``Model.gradient(theta, r)``). Beyond that, a step takes the
-dot-product norms (``models.vector_norm``) of r and the step; the model
-checks theta once per call. Recorded rows are kept in numpy blocks, whose
-distances to theta0 and potentials are evaluated a block at a time with each
-row's own bits. A single run is strictly sequential; independent runs may
-execute concurrently and finished trajectories are immutable.
+the Jacobian (``Model.gradient(theta, r)``, or one sample's row). Beyond that,
+a step takes the dot-product norms (``models.vector_norm``) of r and the
+step; the model checks theta once per call. GLM SGD (the linear model too,
+``_glm_sgd``) instead steps on a kept z = X theta with no forward pass, and
+takes z exactly, checking theta, once every 64 steps. Recorded rows are kept
+in numpy blocks, whose distances to theta0 and potentials are evaluated a
+block at a time with each row's own bits. A single run is strictly
+sequential; independent runs may execute concurrently and finished
+trajectories are immutable.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from overparam.cli import (
 )
 from overparam.config import parse_config_text
 from overparam.descent import Trajectory
-from overparam.geometry import probe_spectrum
+from overparam.geometry import CertificationError, probe_spectrum
 from overparam.models import (
     GLMModel,
     LinearModel,
@@ -361,6 +361,42 @@ def test_out_dir_order_flag_then_config_then_env_then_cwd(tmp_path, monkeypatch)
     monkeypatch.delenv("OVERPARAM_OUT_DIR")
     assert main(["run", "--config", without_dir, "--quiet"]) == EXIT_OK
     assert written() == [cwd]
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale", "lower-bound",
+                                     "experiment-lowrank"])
+def test_unmakeable_out_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
+    def no_instance(*args):
+        raise AssertionError("instance built before the output directory was checked")
+
+    for owner, name in ((cli, "build_model"), (cli, "lowrank_instance"),
+                        (cli.bnd, "make_lower_bound_instance")):
+        monkeypatch.setattr(owner, name, no_instance)
+    cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
+    argv = {"lower-bound": ["--alpha", "1", "--beta", "2"],
+            "experiment-lowrank": ["--n", "25"]}.get(command, ["--config", cfg])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out"
+    assert main([command, *argv, "--out", str(out)]) == EXIT_CAPACITY
+    assert capsys.readouterr() == ("", f"io error: [Errno 20] Not a directory: '{out}'\n")
+
+
+def test_a_command_that_raises_after_its_checks_writes_nothing(tmp_path, monkeypatch, capsys):
+    tune, sizes = cli.auto_tune_lowrank_eta, []
+
+    def fail_at_the_second_size(model, theta0):
+        sizes.append(model.n)
+        if len(sizes) == 2:
+            raise CertificationError("deliberate fault")
+        return tune(model, theta0)
+
+    monkeypatch.setattr(cli, "auto_tune_lowrank_eta", fail_at_the_second_size)
+    out = tmp_path / "out"
+    code = main(["experiment-lowrank", "--n", "all", "--iters", "5", "--out", str(out)])
+    assert (code, sizes) == (EXIT_VIOLATION, [25, 50])
+    assert capsys.readouterr() == ("", "certification failure: deliberate fault\n")
+    assert not out.exists()
 
 
 def test_verify_identity_linear(tmp_path):
