@@ -99,6 +99,13 @@ def _matrix() -> list[tuple[str, str, list[str]]]:
                      "optimizer.eta=1e300"]))
     out.append(("run_glm0_gd_eta5", "run",
                 ["run", "--config", "glm0.cfg", "--eta", "5", "--iters", "300"]))
+    # GLM SGD steps a block of 64 at a time: stops inside a block, on overflow
+    # (non_finite at iteration 138, exit 1), thinned and anchored, and at tol (98).
+    sgd = ["run", "--config", "glm0.cfg", "optimizer.kind=sgd"]
+    out.append(("run_glm0_sgd_eta3", "run", [*sgd, "optimizer.eta=3"]))
+    out.append(("run_glm0_sgd_eta3_anchored_every5", "run",
+                [*sgd, "optimizer.eta=3", "diag.anchors=on", "optimizer.record_every=5"]))
+    out.append(("run_glm0_sgd_tol", "run", [*sgd, "optimizer.tol=4.85"]))
     out.append(("run_tall", "run", ["run", "--config", "tall.cfg"]))
     # Exit 2: a parameter error and a config error.
     out.append(("run_net_rate_one", "run", ["run", "--config", "net_rate_one.cfg"]))
