@@ -1,17 +1,20 @@
 """Descent with per-iteration trajectory recording.
 
-One loop, theta <- theta - eta * g(theta), serves three entry points that
-differ only in g and in what they monitor: full-batch gradient descent,
-single-sample stochastic gradient descent, and gradient descent on a general
-loss under a local gradient-dominance condition. Each step of the two
-least-squares runs evaluates the model's forward pass once: the residual
-measured for the misfit column is the one the next step pulls back through
-the Jacobian (``Model.gradient(theta, r)``, or one sample's row). Beyond that,
-a step takes the dot-product norms (``models.vector_norm``) of r and the
-step; the model checks theta once per call. GLM SGD (the linear model too,
-``_glm_sgd``) instead steps on a kept z = X theta with no forward pass, and
-takes z exactly, checking theta, once every 64 steps. Recorded rows are kept
-in numpy blocks, whose distances to theta0 and potentials are evaluated a
+One loop serves three entry points that differ only in their stepper and
+in what they monitor: full-batch gradient descent, single-sample stochastic
+gradient descent, and gradient descent on a general loss under a local
+gradient-dominance condition. The loop advances theta a block of steps at a
+time and cuts a block at its first terminal row. A gradient stepper's block
+is one step, theta <- theta - eta * g(theta), which evaluates the model's
+forward pass once: the residual measured for the misfit column is the one
+the next step pulls back through the Jacobian (``Model.gradient(theta, r)``,
+or one sample's row). Beyond that, a step takes the dot-product norms
+(``models.vector_norm``) of r and the step; the model checks theta once per
+call. GLM SGD (the linear model too, ``_glm_sgd``) steps up to 64 at a time
+on a kept z = X theta with no forward pass: only a scalar recurrence runs a
+step at a time, the block's thetas, residuals and norms come as arrays, and
+z is taken exactly, checking theta, once a block. Recorded rows are kept in
+numpy blocks, whose distances to theta0 and potentials are evaluated a
 block at a time with each row's own bits. A single run is strictly
 sequential; independent runs may execute concurrently and finished
 trajectories are immutable.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, islice
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
@@ -208,8 +212,8 @@ def _column_fields(columns: Iterable) -> dict[str, Array]:
 
 
 class _Rows:
-    """A run's recorded rows: scalars and theta go into a block, whose dist_init
-    and potential columns are evaluated when it fills and at the end."""
+    """A run's recorded rows: scalars and theta go into a block of _BLOCK_ROWS rows,
+    whose dist_init and potential columns are evaluated when it fills and at the end."""
 
     def __init__(self, start: Array, potential, anchored, keep_thetas: bool):
         self.start, self.potential, self.anchored = start, potential, anchored
@@ -220,13 +224,16 @@ class _Rows:
         self.blocks: list[Array] = []  # (8, rows): iter through sgd_potential
         self.theta_blocks: list[Array] = []
 
-    def add(self, tau: int, loss: float, misfit: float, path_len: float, step_norm: float,
-            theta: Array) -> None:
-        self.scalars[:, self.count] = tau, loss, misfit, path_len, step_norm
-        self.thetas[self.count] = theta
-        self.count += 1
-        if self.count == _BLOCK_ROWS:
-            self.flush()
+    def add(self, scalars: Array, thetas: Array) -> None:
+        """Append rows: their (5, rows) scalars, iter through step_norm, and thetas."""
+        while len(thetas):
+            take = min(_BLOCK_ROWS - self.count, len(thetas))
+            end = self.count + take
+            self.scalars[:, self.count:end] = scalars[:, :take]
+            self.thetas[self.count:end] = thetas[:take]
+            scalars, thetas, self.count = scalars[:, take:], thetas[take:], end
+            if end == _BLOCK_ROWS:
+                self.flush()
 
     def flush(self) -> None:
         if self.count == 0:
@@ -255,65 +262,64 @@ class _Rows:
 def _descend(
     theta0: Array,
     cfg: OptimConfig,
-    measure: Callable[[Array], tuple[float, float, Array | None]],
-    step: Callable[[Array, Array | None], tuple[Array, float] | None],
+    measure: Callable[[Array], tuple[float, float, object]],
+    step: Callable[[Array, object, int], tuple | None],
     potential: Callable[[Array, Array, Array], Array],
     anchored: Callable[[Array, Array, Array], Array] | None = None,
 ) -> Trajectory:
-    """The loop of every run: theta <- step(theta, r).
+    """The loop of every run: theta advances by a block of steps at a time.
 
-    measure(theta) returns (loss, misfit, r), where r is the residual at theta
-    (None for a general loss) and is handed to the next step, so theta is
-    evaluated once per step. step(theta, r) returns the next theta and the
-    step's norm, or None where the run stops as "stationary"; the measure and
-    step closures of a run may share state (GLM SGD keeps X theta in them).
-    A block of recorded rows gets its gd_potential column from
-    potential(dist_init, misfit, path_len) and its sgd_potential from
-    anchored(theta - theta0, ||theta - theta0||^2, misfit), each taking the
-    block's columns (and (rows, p) offsets) and giving every row its own bits.
-    Overflow raises no warning: a non-finite loss ends the run as
-    "non_finite" with abort_iter set, and so does a step that overflows theta,
-    whose row records loss = misfit = inf without measuring it.
+    measure(theta0) returns (loss, misfit, state), state being what the
+    stepper carries from row to row (the residual at theta for the
+    least-squares runs, None for a general loss, X theta for GLM SGD).
+    step(theta, state, limit) takes k steps, 1 <= k <= limit, and returns
+    (thetas, step_norms, losses, misfits, state): the k iterates as a (k, p)
+    array, their columns as sequences and the state at the last one; or None
+    where the run stops as "stationary". It measures every row but one whose
+    step norm and theta are both not finite, which records loss = misfit = inf
+    (a finite step norm bounds every step entry below sqrt(float max), about
+    1.3e154, so theta can overflow only from an entry already that close to
+    the float64 maximum). The loop cuts a block at its first terminal row: a
+    non-finite loss ends the run as "non_finite" with abort_iter set (overflow
+    raises no warning), misfit <= tol_misfit as "tol", iteration max_iters as
+    "max_iters". It keeps the rows due under record_every and the last one;
+    path_len adds up the step norms in order. A block of recorded rows gets its gd_potential
+    column from potential(dist_init, misfit, path_len) and its sgd_potential
+    from anchored(theta - theta0, ||theta - theta0||^2, misfit), each taking
+    the block's columns (and (rows, p) offsets) and giving every row its own
+    bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.array(theta0, dtype=float)
-        theta = start.copy()
-        loss, misfit, r = measure(theta)
+        loss, misfit, state = measure(start)
         misfit0 = misfit
-        path_len = step_norm = 0.0
         rows = _Rows(start, potential, anchored, cfg.record_thetas)
-        rows.add(0, loss, misfit, path_len, step_norm, theta)
-        termination = "max_iters"
-        abort_iter = None
-        for tau in range(1, cfg.max_iters + 1):
-            if misfit <= cfg.tol_misfit:
-                termination = "tol"
-                break
-            moved = step(theta, r)
+        # The latest row's iter, loss, misfit, path_len and step_norm, and its theta.
+        last, theta, tau = np.array([[0], [loss], [misfit], [0.0], [0.0]]), start, 0
+        rows.add(last, start[None])
+        termination = "tol" if misfit <= cfg.tol_misfit else None
+        while termination is None:
+            moved = step(theta, state, cfg.max_iters - tau)
             if moved is None:
-                if (tau - 1) % cfg.record_every:  # else row tau - 1 is recorded already
-                    rows.add(tau - 1, loss, misfit, path_len, step_norm, theta)
+                if tau % cfg.record_every:  # else row tau is recorded already
+                    rows.add(last, theta[None])
                 termination = "stationary"
                 break
-            theta, step_norm = moved
-            path_len += step_norm
-            # A finite step_norm bounds every step entry below sqrt(float max), about
-            # 1.3e154, so theta could overflow only from an entry already that close to
-            # the float64 maximum: theta is checked only when the norm is not finite.
-            if math.isfinite(step_norm) or np.isfinite(theta).all():
-                loss, misfit, r = measure(theta)
-            else:
-                loss = misfit = math.inf
-            terminal = not math.isfinite(loss) or misfit <= cfg.tol_misfit or tau == cfg.max_iters
-            if tau % cfg.record_every == 0 or terminal:
-                rows.add(tau, loss, misfit, path_len, step_norm, theta)
-            if not math.isfinite(loss):
-                termination = "non_finite"
-                abort_iter = tau
-                break
-            if misfit <= cfg.tol_misfit:
-                termination = "tol"
-                break
+            thetas, norms, losses, misfits, state = moved
+            for cut, (loss, misfit) in enumerate(zip(losses, misfits), 1):
+                if not math.isfinite(loss) or misfit <= cfg.tol_misfit:
+                    termination = "tol" if math.isfinite(loss) else "non_finite"
+                    break
+            if termination is None and tau + cut == cfg.max_iters:
+                termination = "max_iters"
+            paths = list(accumulate(norms[:cut], initial=last[3, 0]))[1:]
+            block = np.array([range(tau + 1, tau + cut + 1), losses[:cut], misfits[:cut],
+                              paths, norms[:cut]])
+            due = slice((-tau - 1) % cfg.record_every, cut, cfg.record_every)
+            rows.add(block[:, due], thetas[due])
+            last, theta, tau = block[:, cut - 1:], thetas[cut - 1], tau + cut
+            if termination and tau % cfg.record_every:  # the last row, not due
+                rows.add(last, theta[None])
         # norm_misfit and norm_dist; dividing by 1.0 leaves a column bit-for-bit unchanged.
         columns, thetas = rows.columns()
         theta0_norm = float(np.linalg.norm(start))
@@ -327,21 +333,29 @@ def _descend(
             theta0_norm=theta0_norm,
             record_every=cfg.record_every,
             norm_dist_is_raw=theta0_norm == 0.0,
-            abort_iter=abort_iter,
+            abort_iter=tau if termination == "non_finite" else None,
             thetas=thetas,
         )
 
 
-def _gradient_step(direction: Callable[[Array, Array | None], Array], eta: float,
+def _gradient_step(measure: Callable[[Array], tuple[float, float, Array | None]],
+                   direction: Callable[[Array, Array | None], Array], eta: float,
                    stationary_exit: bool = True):
-    """The step of a gradient run: theta - eta * direction(theta, r) and the step's
-    ``vector_norm``, or None at an exactly zero direction when stationary_exit is set."""
-    def step(theta: Array, r: Array | None) -> tuple[Array, float] | None:
+    """The stepper of a gradient run, one step a call: theta - eta * direction(theta, r),
+    its ``vector_norm`` and measure(theta) there, r being the residual measure gave at
+    theta; or None at an exactly zero direction when stationary_exit is set."""
+    def step(theta: Array, r: Array | None, limit: int):
         g = direction(theta, r)
         if stationary_exit and not np.any(g):
             return None
         s = eta * g
-        return theta - s, vector_norm(s)
+        theta = theta - s
+        step_norm = vector_norm(s)
+        if math.isfinite(step_norm) or np.isfinite(theta).all():
+            loss, misfit, r = measure(theta)
+        else:
+            loss = misfit = math.inf
+        return theta[None], [step_norm], [loss], [misfit], r
 
     return step
 
@@ -367,11 +381,9 @@ def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
     non-finite ("non_finite", with the offending iteration recorded as
     abort_iter).
     """
-    return _descend(
-        theta0, cfg, lambda theta: _measure_residual(model, theta),
-        _gradient_step(model.gradient, cfg.eta),
-        potential=_misfit_potential(cfg),
-    )
+    measure = partial(_measure_residual, model)
+    return _descend(theta0, cfg, measure, _gradient_step(measure, model.gradient, cfg.eta),
+                    potential=_misfit_potential(cfg))
 
 
 def sgd_index_stream(seed: int, n: int, length: int) -> Array:
@@ -389,13 +401,17 @@ def _sgd_indices(seed: int, n: int):
 
 
 def _glm_sgd(model: GLMModel, eta: float, indices):
-    """(measure, step) of GLM SGD, sharing z = X theta between them.
+    """(measure, step) of GLM SGD, a block of up to _BLOCK_ROWS steps a call on a
+    kept z = X theta.
 
-    A step on sample i is theta <- theta - c x_i with c = eta r_i phi'(z_i),
-    and z follows it as z <- z - c G[i] (G = X X^T), so a step costs O(n + p)
-    and the residual r = phi(z) - y no forward pass. z is taken exactly as
-    X theta (``pre_activations``, which checks theta) at the start and every
-    _BLOCK_ROWS steps. In between, entry j of z drifts from x_j . theta by at
+    A step on sample i is theta <- theta - c x_i with c = eta (phi(z_i) - y_i)
+    phi'(z_i), and z follows it as z <- z - c G[i] (G = X X^T). Only that
+    recurrence runs a step at a time, in O(n); the block's thetas are then one
+    cumsum of the steps -c x_i from theta (the additions of theta - c x), its
+    step norms |c| ||x_i||, residuals phi(z) - y and misfits one array each,
+    with no forward pass. z is taken exactly as X theta (``pre_activations``,
+    which checks theta) at the start and at the end of every full block, where
+    theta is finite. In between, entry j of z drifts from x_j . theta by at
     most _BLOCK_ROWS * (p + 3) * eps * (max|c| ||x_j|| max||x_i|| + |x_j| . |theta|),
     eps being the float64 machine epsilon: a step adds the G entry's dot
     product error, two roundings of the update, and theta's own rounding seen
@@ -404,24 +420,29 @@ def _glm_sgd(model: GLMModel, eta: float, indices):
     X, y, act = model.X, model.y, model.act
     gram = X @ X.T
     row_norms = np.sqrt(np.vecdot(X, X))
-    z = None
-    taken = 0
 
     def measure(theta: Array) -> tuple[float, float, Array]:
-        nonlocal z
-        if taken % _BLOCK_ROWS == 0:
-            z = model.pre_activations(theta)
-        r = act.phi(z) - y
-        misfit = vector_norm(r)
-        return 0.5 * misfit**2, misfit, r
+        z = model.pre_activations(theta)
+        misfit = vector_norm(act.phi(z) - y)
+        return 0.5 * misfit**2, misfit, z
 
-    def step(theta: Array, r: Array) -> tuple[Array, float]:
-        nonlocal z, taken
-        i = next(indices)
-        c = eta * r[i] * act.dphi(z[i])
-        z -= c * gram[i]
-        taken += 1
-        return theta - c * X[i], abs(c) * row_norms[i]
+    def step(theta: Array, z: Array, limit: int):
+        picks = list(islice(indices, min(limit, _BLOCK_ROWS)))
+        c, Z = np.empty(len(picks)), np.empty((len(picks), len(y)))
+        for t, i in enumerate(picks):
+            c[t] = ct = eta * (act.phi(z[i]) - y[i]) * act.dphi(z[i])
+            z = np.subtract(z, ct * gram[i], out=Z[t])
+        thetas = -c[:, None] * X[picks]
+        thetas[0] += theta
+        np.cumsum(thetas, axis=0, out=thetas)
+        norms = np.abs(c) * row_norms[picks]
+        if len(picks) == _BLOCK_ROWS and np.isfinite(thetas[-1]).all():
+            Z[-1] = model.pre_activations(thetas[-1])
+        R = act.phi(Z) - y
+        misfits = np.sqrt(np.vecdot(R, R))  # each row's vector_norm, bit for bit
+        misfits[~(np.isfinite(norms) | np.isfinite(thetas).all(axis=1))] = math.inf
+        return (thetas, norms.tolist(), [0.5 * m**2 for m in misfits.tolist()],
+                misfits.tolist(), Z[-1])
 
     return measure, step
 
@@ -438,10 +459,11 @@ def run_sgd(
     Each step draws gamma uniformly from {0..n-1} and applies
     theta <- theta - eta * r_gamma * J_gamma^T (no 1/n scaling); gamma is
     drawn a block at a time, not max_iters at once. A GLM (the linear model
-    too) steps in O(n + p) on a kept z = X theta (``_glm_sgd``), never calling
-    ``predictions`` or ``per_sample_gradient``; other families take
-    ``per_sample_gradient`` on a measured residual. When an anchor set and
-    alpha are supplied, the anchored potential
+    too) steps a block of up to 64 at a time on a kept z = X theta
+    (``_glm_sgd``), a step an O(n) scalar recurrence and a row of the block's
+    arrays, never calling ``predictions`` or ``per_sample_gradient``; other
+    families take ``per_sample_gradient`` on a measured residual, a step a
+    block. When an anchor set and alpha are supplied, the anchored potential
     12*misfit + (alpha/K) * sum_l ||theta - p_l|| is recorded per row. A
     block of rows takes its K squared distances from one centred product,
     ||t||^2 - 2 t . a_l + ||a_l||^2 with t = theta - theta0 and
@@ -466,7 +488,7 @@ def run_sgd(
         # the full loss, so a zero step does not end the run.
         measure = partial(_measure_residual, model)
         step = _gradient_step(
-            lambda theta, r: model.per_sample_gradient(theta, next(indices), r),
+            measure, lambda theta, r: model.per_sample_gradient(theta, next(indices), r),
             cfg.eta, stationary_exit=False)
     anchored_potential = None
     if anchors is not None:
@@ -533,7 +555,7 @@ def run_pl_gd(loss_fn: GeneralLoss, theta0: Array, cfg: OptimConfig, mu: float) 
             f"eta={cfg.eta} exceeds 1/L={1.0 / loss_fn.smoothness_L} for the supplied L"
         )
     return _descend(
-        theta0, cfg, loss_fn.measure, _gradient_step(loss_fn.direction, cfg.eta),
+        theta0, cfg, loss_fn.measure, _gradient_step(loss_fn.measure, loss_fn.direction, cfg.eta),
         potential=lambda dist, root, path_len: math.sqrt(mu / 8.0) * dist + root,
     )
 

@@ -634,6 +634,174 @@ def test_sgd_rows_recorded_in_blocks_match_two_pass_loop_property(steps, record_
     assert_same_recording(run(cfg), reference(cfg), record_thetas)
 
 
+# ---------------------------------------------------------------------------
+# GLM SGD a block at a time: the bits of a step at a time on the kept X theta
+# ---------------------------------------------------------------------------
+
+def glm_sgd_per_step(model, theta0, cfg, anchors=None, alpha=0.3):
+    """GLM SGD a step at a time, on the kept z = X theta taken exactly every B steps.
+
+    A step on sample i is c = eta r_i phi'(z_i), z <- z - c G[i] (G = X X^T),
+    theta <- theta - c x_i, step norm |c| ||x_i||, then r = phi(z) - y and
+    misfit = sqrt(r @ r); a row whose step norm and theta are both not
+    finite gets loss = misfit = inf unmeasured. The loop stops at tol, at a
+    non-finite loss ("non_finite") and at max_iters, keeping the rows due
+    under record_every and the last one. dist_init takes each row's
+    sqrt(d @ d); sgd_potential comes from the centred product over B kept
+    rows at a time, as run_sgd documents. Returns the columns, "thetas"
+    (the kept rows' iterates), theta_final, the termination and abort_iter.
+    """
+    X, y, act, eta = model.X, model.y, model.act, cfg.eta
+    gram, row_norms = X @ X.T, np.sqrt(np.vecdot(X, X))
+    indices = sgd_index_stream(cfg.seed, model.n, cfg.max_iters)
+
+    def measure(z):
+        r = act.phi(z) - y
+        misfit = math.sqrt(r @ r)
+        return 0.5 * misfit**2, misfit, r
+
+    theta = np.array(theta0, dtype=float)
+    z = X @ theta
+    loss, misfit, r = measure(z)
+    path_len = 0.0
+    rows = [(0, loss, misfit, path_len, 0.0, theta)]
+    termination, abort_iter = "max_iters", None
+    with np.errstate(over="ignore", invalid="ignore"):  # a run's overflow, as run_sgd's
+        for tau in range(1, cfg.max_iters + 1):
+            if misfit <= cfg.tol_misfit:  # at the start; a later tol row breaks below
+                termination = "tol"
+                break
+            i = indices[tau - 1]
+            c = eta * r[i] * act.dphi(z[i])
+            z = z - c * gram[i]
+            theta = theta - c * X[i]
+            step_norm = abs(c) * row_norms[i]
+            path_len += step_norm
+            if math.isfinite(step_norm) or np.isfinite(theta).all():
+                if tau % B == 0:
+                    z = X @ theta
+                loss, misfit, r = measure(z)
+            else:
+                loss = misfit = math.inf
+            stop = not math.isfinite(loss) or misfit <= cfg.tol_misfit
+            if tau % cfg.record_every == 0 or stop or tau == cfg.max_iters:
+                rows.append((tau, loss, misfit, path_len, step_norm, theta))
+            if stop:
+                termination = "tol" if math.isfinite(loss) else "non_finite"
+                abort_iter = None if math.isfinite(loss) else tau
+                break
+        iters, losses, misfits, paths, norms, thetas = (np.array(v) for v in zip(*rows))
+        D = thetas - theta0
+        sq = np.array([d @ d for d in D])
+        dist = np.sqrt(sq)
+        sgd = np.full(len(rows), np.nan)
+        if anchors is not None:
+            centred = anchors.anchors - theta0
+            for first in range(0, len(rows), B):
+                kept = slice(first, first + B)
+                dist_sq = (sq[kept, None] - 2.0 * (D[kept] @ centred.T)
+                           + np.vecdot(centred, centred))
+                sgd[kept] = 12.0 * misfits[kept] + (alpha / anchors.K) * np.sqrt(
+                    np.maximum(dist_sq, 0.0)).sum(axis=1)
+        theta0_norm = float(np.linalg.norm(theta0))
+        columns = dict(zip(COLUMNS, (
+            iters, losses, misfits, dist, paths, norms, misfits + cfg.potential_zeta * paths, sgd,
+            misfits / (misfits[0] if misfits[0] > 0 else 1.0), dist / (theta0_norm or 1.0))))
+    return {**columns, "thetas": thetas}, theta, termination, abort_iter
+
+
+def _glm(activation, X, y):
+    if activation == "identity":
+        return LinearModel(X, y)
+    return GLMModel(X, y, tanh_linear(0.3) if activation == "tanh_linear"
+                    else softplus_linear(0.5))
+
+
+def assert_glm_sgd_matches_per_step_loop(model, theta, cfg, anchored):
+    anchors = build_packing(theta, radius_Rp=2.0, epsilon=0.5, K=4, seed=1) \
+        if anchored else None
+    columns, theta_final, termination, abort_iter = glm_sgd_per_step(
+        model, theta, cfg, anchors, alpha=0.3)
+    traj = run_sgd(model, theta, cfg, anchors=anchors, alpha=0.3)
+    assert (traj.termination, traj.abort_iter) == (termination, abort_iter)
+    assert_same_recording(traj, (columns, theta_final, {}), cfg.record_thetas)
+    return traj
+
+
+@settings(max_examples=40, deadline=None)
+@given(activation=st.sampled_from(["identity", "tanh_linear", "softplus_linear"]),
+       n=st.integers(1, 6), extra=st.integers(0, 6),
+       max_iters=st.sampled_from([1, B - 1, B, B + 1, 200]),
+       record_every=st.sampled_from([1, 2, 7, B, B + 1]), anchored=st.booleans(),
+       stop=st.sampled_from(["max_iters", "tol", "overflow"]), growth=st.floats(1.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_glm_sgd_matches_per_step_loop_bitwise_property(activation, n, extra, max_iters,
+                                                         record_every, anchored, stop,
+                                                         growth, seed):
+    # Blocks of B steps, cut at a tol or overflow row anywhere in a block; an
+    # overflow comes from a step size that multiplies r by about 10^growth a step.
+    rng = np.random.default_rng(seed)
+    X, y = rng.standard_normal((n, n + extra)), rng.standard_normal(n)
+    model, theta = _glm(activation, X, y), rng.standard_normal(n + extra)
+    cfg = _steady_config(model, theta, max_iters, seed=seed, potential_zeta=0.5,
+                         record_every=record_every, record_thetas=True)
+    if stop == "tol":
+        misfits = run_sgd(model, theta, replace(cfg, record_every=1)).misfit
+        cfg = replace(cfg, tol_misfit=misfits[rng.integers(len(misfits))])
+    elif stop == "overflow":
+        cfg = replace(cfg, eta=10.0**growth / np.max(np.vecdot(X, X)))
+    assert_glm_sgd_matches_per_step_loop(model, theta, cfg, anchored)
+
+
+@pytest.mark.parametrize("activation", ["identity", "tanh_linear", "softplus_linear"])
+@pytest.mark.parametrize("stop", ["tol", "non_finite"])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_glm_sgd_stops_inside_a_block_as_the_per_step_loop(activation, stop, anchored):
+    rng = np.random.default_rng(4)
+    X, y = rng.standard_normal((10, 30)) / 5.0, rng.standard_normal(10)
+    model, theta = _glm(activation, X, y), 0.1 * rng.standard_normal(30)
+    cfg = _steady_config(model, theta, 4 * B, seed=2, record_every=5, record_thetas=True)
+    if stop == "tol":
+        misfits = run_sgd(model, theta, replace(cfg, record_every=1)).misfit
+        cfg = replace(cfg, tol_misfit=misfits[B + B // 2])
+    else:
+        cfg = replace(cfg, eta=500.0 / np.max(np.vecdot(X, X)))
+    traj = assert_glm_sgd_matches_per_step_loop(model, theta, cfg, anchored)
+    last = int(traj.iters[-1])
+    assert traj.termination == stop and B < last < 3 * B and last % B
+    assert traj.abort_iter == (last if stop == "non_finite" else None)
+
+
+def test_glm_sgd_step_overflowing_theta_records_an_unmeasured_row():
+    # c = eta r_i overflows to -inf: theta turns infinite, and the kept z - c G[i]
+    # takes inf * 0 = nan from G's zero entry, so only the rule keeps misfit inf.
+    model = LinearModel(np.array([[1.0, 1.0], [1.0, -1.0]]), np.full(2, 5.0))
+    cfg = OptimConfig(eta=1e308, max_iters=3, seed=0, record_thetas=True)
+    traj = assert_glm_sgd_matches_per_step_loop(model, np.zeros(2), cfg, anchored=False)
+    assert (traj.termination, traj.abort_iter) == ("non_finite", 1)
+    assert traj.misfit[-1] == traj.loss[-1] == math.inf
+
+
+def test_glm_sgd_takes_no_exact_x_theta_of_an_overflowed_theta():
+    # r grows about 10^2.5-fold a step: r @ r overflows at iteration 65, and theta
+    # itself before the block's end at 128, where X theta would refuse it.
+    model = LinearModel(np.eye(1), np.zeros(1))
+    cfg = OptimConfig(eta=1.0 + 10**2.5, max_iters=2 * B, seed=0, record_thetas=True)
+    traj = assert_glm_sgd_matches_per_step_loop(model, np.full(1, 1e-6), cfg, anchored=False)
+    assert (traj.termination, traj.abort_iter) == ("non_finite", B + 1)
+
+
+def test_glm_sgd_squares_each_misfit_as_the_per_step_loop():
+    # A row's loss is 0.5 * misfit**2 by Python's pow, which here differs from
+    # numpy's square of the misfit column at iteration 195 (as measured with glibc).
+    rng = np.random.default_rng(0)
+    model = GLMModel(rng.standard_normal((40, 100)) / 10.0, rng.standard_normal(40),
+                     tanh_linear(0.3))
+    theta = 0.1 * rng.standard_normal(100)
+    cfg = OptimConfig(eta=0.1, max_iters=200, seed=0, record_thetas=True)
+    assert_glm_sgd_matches_per_step_loop(model, theta, cfg, anchored=True)
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
