@@ -283,11 +283,11 @@ def _descend(
     non-finite loss ends the run as "non_finite" with abort_iter set (overflow
     raises no warning), misfit <= tol_misfit as "tol", iteration max_iters as
     "max_iters". It keeps the rows due under record_every and the last one;
-    path_len adds up the step norms in order. A block of recorded rows gets its gd_potential
-    column from potential(dist_init, misfit, path_len) and its sgd_potential
-    from anchored(theta - theta0, ||theta - theta0||^2, misfit), each taking
-    the block's columns (and (rows, p) offsets) and giving every row its own
-    bits.
+    path_len adds up the step norms in order. A block of recorded rows gets
+    its gd_potential column from potential(dist_init, misfit, path_len) and
+    its sgd_potential from anchored(theta - theta0, ||theta - theta0||^2,
+    misfit), each taking the block's columns (and (rows, p) offsets) and
+    giving every row its own bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.array(theta0, dtype=float)
