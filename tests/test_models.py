@@ -1,3 +1,12 @@
+import gc
+import os
+import select
+import signal
+import sys
+import threading
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -419,3 +428,189 @@ def test_net_row_major_layout():
     W = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     flat = W.reshape(-1)
     assert_allclose(flat, [1, 2, 3, 4, 5, 6])
+
+
+# ---------------------------------------------------------------------------
+# Low-rank kernels split across the caller and one worker thread
+# ---------------------------------------------------------------------------
+
+def _lowrank_case(n, d, r, seed):
+    rng = np.random.default_rng(seed)
+    model = LowRankModel(rng.standard_normal((n, d, d)), rng.standard_normal(n), d, r)
+    return model, rng.standard_normal(d * r), rng.standard_normal(n)
+
+
+def _lowrank_serial(model, theta, res):
+    """The unsplit kernels, written out: (predictions, pullback of res, gradient)."""
+    Theta = theta.reshape((model.d, model.r), order="F")
+    f = np.einsum("dr,idr->i", Theta, model.Xs @ Theta)
+
+    def pull(v):
+        M = np.einsum("i,iab->ab", v, model.Xs)
+        return ((M + M.T) @ Theta).reshape(-1, order="F")
+
+    return f, pull(res), pull(f - model.y)
+
+
+@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
+def cpus(request, monkeypatch):
+    """The number of CPUs the split kernels see this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    return request.param
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 25])
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 100])
+def test_lowrank_split_kernels_are_the_serial_kernels_bit_for_bit(n, d, cpus):
+    # n = 1 and d = 1 leave one half empty; n = 2 and 3 leave a half of one sample,
+    # the case where einsum with a C-ordered factor (not the column-major one
+    # ``factor`` returns) sums d r = 10,000 products in another order at d = r = 100.
+    for r in sorted({1, (d + 1) // 2, d}):
+        model, theta, res = _lowrank_case(n, d, r, seed=1000 * n + 10 * d + r)
+        f, pull, grad = _lowrank_serial(model, theta, res)
+        assert np.array_equal(model.predictions(theta), f)
+        assert np.array_equal(model.residual(theta), f - model.y)
+        assert np.array_equal(model.pullback(theta, res), pull)
+        assert np.array_equal(model.gradient(theta), grad)
+        assert np.array_equal(model.gradient(theta, f - model.y), grad)
+
+
+def test_lowrank_split_hands_the_second_half_to_one_worker(cpus):
+    first, second = set(), set()
+    for h in (0, 2, 4):  # the halves' lengths, h and 5 - h, tell them apart
+        threads = {}
+
+        def half(A):
+            threads[len(A)] = threading.get_ident()
+            return 2.0 * A
+
+        assert np.array_equal(models._split(half, np.arange(5.0), h), 2.0 * np.arange(5.0))
+        first.add(threads[h])
+        second.add(threads[5 - h])
+    assert first == {threading.get_ident()}
+    assert len(second) == 1  # one worker took every second half
+    assert (second == first) == (cpus == 1)
+
+
+def _bounded(body, seconds=60.0):
+    """body() on a daemon thread, so that a reply that never comes fails the test
+    instead of hanging it; body's exception is raised here."""
+    outcome = []
+
+    def run():
+        try:
+            body()
+            outcome.append(None)
+        except BaseException as exc:  # raised again on the test's thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"no result within {seconds:g} s"
+    if outcome[0] is not None:
+        raise outcome[0]
+
+
+def test_lowrank_split_raises_the_worker_half_exception_and_the_worker_survives(cpus):
+    def half(A):
+        if A[0] >= 2.0:
+            raise KeyError("second half")
+        return A
+
+    def body():
+        for _ in range(2):
+            with pytest.raises(KeyError, match="second half"):
+                models._split(half, np.arange(5.0), 2)
+            assert np.array_equal(models._split(lambda A: -A, np.arange(5.0), 2), -np.arange(5.0))
+
+    _bounded(body)
+
+
+def test_lowrank_split_wrong_length_residual_raises_as_serial(cpus):
+    model, theta, res = _lowrank_case(7, 12, 3, seed=1)
+    f, pull, grad = _lowrank_serial(model, theta, res)
+
+    def body():
+        for wrong in (res[:-1], np.append(res, 1.0)):
+            with pytest.raises(ValueError):
+                np.einsum("i,iab->ab", wrong, model.Xs)
+            with pytest.raises(ValueError):
+                model.pullback(theta, wrong)
+            assert np.array_equal(model.pullback(theta, res), pull)
+            assert np.array_equal(model.predictions(theta), f)
+            assert np.array_equal(model.gradient(theta), grad)
+
+    _bounded(body)
+
+
+def test_lowrank_split_concurrent_callers_each_get_their_own_bits(cpus):
+    # More callers than cores, switching threads often, each on its own model.
+    cases = [_lowrank_case(25, 12, 3, seed=seed) for seed in range(2, 6)]
+    expected = [_lowrank_serial(*case) for case in cases]
+    results = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def call(k):
+        model, theta, res = cases[k]
+        start.wait()
+        for _ in range(30):
+            results[k].append((model.predictions(theta), model.pullback(theta, res),
+                               model.gradient(theta)))
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(cases)):
+        assert len(results[k]) == 30
+        for got in results[k]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected[k]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
+def test_lowrank_split_runs_in_a_forked_child(monkeypatch):
+    # The parent's worker is running when it forks; the child has no such thread
+    # and must start its own rather than wait on the parent's queue.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    model, theta, _ = _lowrank_case(25, 12, 3, seed=4)
+    expected = model.predictions(theta)
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # a fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write, model.predictions(theta).tobytes())
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 60.0)
+        got = os.read(read, expected.nbytes + 1) if ready else b""
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert ready, "the forked child did not compute predictions within 60 s"
+    assert got == expected.tobytes()
+
+
+def test_lowrank_split_keeps_no_reference_to_a_dropped_model(cpus):
+    model, theta, res = _lowrank_case(25, 12, 3, seed=5)
+    model.predictions(theta)
+    model.pullback(theta, res)
+    model.gradient(theta)
+    features = weakref.ref(model.Xs)
+    del model
+    gc.collect()
+    assert features() is None
