@@ -1,10 +1,8 @@
 """Flat key=value run configuration: UTF-8, `#` comments, unknown keys rejected."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, get_args
 
 from .models import ACTIVATIONS
 
@@ -17,51 +15,57 @@ class ConfigError(ValueError):
     """Malformed configuration file or value."""
 
 
+def _key(key: str, default: Any) -> Any:
+    """A `RunConfig` field read and written under `key` in a config file."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: model family and sizes, optimizer, diagnostics, output.
 
-    eta, tol, probe_radius and anchor_count hold None for the literal "auto"
-    (the paper's rule); seeds for data generation and for the optimizer are
-    independent knobs.
+    Each field is declared once, with its config-file key, and read as the type
+    it is annotated with. A field typed `X | None` (eta, tol, probe_radius,
+    anchor_count) also takes the literal "auto" (the paper's rule), held as None.
+    Seeds for data generation and for the optimizer are independent knobs.
     """
 
-    family: str = "linear"
-    n: int = 10
-    p: int = 20
-    d: int = 0
-    r: int = 0
-    k: int = 0
-    activation: str = "tanh_linear"
-    activation_scale: float = 0.3
-    identity_X: bool = False  # X = eye(n, p), zero labels, theta0 = ones
-    data_seed: int = 0
+    family: str = _key("model.family", "linear")
+    n: int = _key("model.n", 10)
+    p: int = _key("model.p", 20)
+    d: int = _key("model.d", 0)
+    r: int = _key("model.r", 0)
+    k: int = _key("model.k", 0)
+    activation: str = _key("model.activation", "tanh_linear")
+    activation_scale: float = _key("model.activation_scale", 0.3)
+    identity_X: bool = _key("model.identity", False)  # X = eye(n, p), zero labels, theta0 = ones
+    data_seed: int = _key("model.data_seed", 0)
 
-    optimizer: str = "gd"
-    eta: float | None = None
-    iters: int = 200
-    tol: float | None = None
-    opt_seed: int = 0
-    record_every: int = 1
+    optimizer: str = _key("optimizer.kind", "gd")
+    eta: float | None = _key("optimizer.eta", None)
+    iters: int = _key("optimizer.iters", 200)
+    tol: float | None = _key("optimizer.tol", None)
+    opt_seed: int = _key("optimizer.seed", 0)
+    record_every: int = _key("optimizer.record_every", 1)
 
-    probe_samples: int = 64
-    probe_radius: float | None = None
-    nu: float = 8.0
-    lam: float = 0.5
-    regime: str = "bounded"
-    anchor_count: int | None = None
-    anchors: bool = False
+    probe_samples: int = _key("diag.probe_samples", 64)
+    probe_radius: float | None = _key("diag.probe_radius", None)
+    nu: float = _key("diag.nu", 8.0)
+    lam: float = _key("diag.lambda", 0.5)
+    regime: str = _key("diag.regime", "bounded")
+    anchor_count: int | None = _key("diag.anchor_count", None)
+    anchors: bool = _key("diag.anchors", False)
 
-    out_dir: str = ""
+    out_dir: str = _key("output.dir", "")
 
     def __post_init__(self):
-        family = self.family
+        family, key = self.family, {f.name: f.metadata["key"] for f in fields(self)}
         checks = (
             ("family", family in MODEL_FAMILIES, f"one of {MODEL_FAMILIES}"),
             ("n", self.n >= 1, ">= 1"),
             ("p", family not in ("linear", "glm") or self.p >= 1, ">= 1"),
             ("d", family not in ("lowrank", "net") or self.d >= 1, ">= 1"),
-            ("r", family != "lowrank" or 1 <= self.r <= self.d, f"in [1, model.d = {self.d}]"),
+            ("r", family != "lowrank" or 1 <= self.r <= self.d, f"in [1, {key['d']} = {self.d}]"),
             ("k", family != "net" or self.k >= 1, ">= 1"),
             ("activation", family not in ("glm", "net") or self.activation in ACTIVATIONS,
              f"one of {tuple(ACTIVATIONS)}"),
@@ -81,12 +85,12 @@ class RunConfig:
         for name, ok, rule in checks:
             if not ok:
                 value = getattr(self, name)
-                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be {rule}, got {value!r}")
+                raise ConfigError(f"{key[name]} must be {rule}, got {value!r}")
         if family in ("glm", "net"):
             try:  # the activation's constructor owns the rule for its scale
                 ACTIVATIONS[self.activation](self.activation_scale)
             except ValueError as exc:
-                raise ConfigError(f"model.activation_scale must be valid for "
+                raise ConfigError(f"{key['activation_scale']} must be valid for "
                                   f"{self.activation} ({exc})") from exc
 
 
@@ -99,40 +103,19 @@ def _auto_or(value: Any, typ: type, zero_ok: bool = False) -> bool:
     )
 
 
-# file key -> (dataclass field, python type)
-_KEYS: dict[str, tuple[str, type]] = {
-    "model.family": ("family", str),
-    "model.n": ("n", int),
-    "model.p": ("p", int),
-    "model.d": ("d", int),
-    "model.r": ("r", int),
-    "model.k": ("k", int),
-    "model.activation": ("activation", str),
-    "model.activation_scale": ("activation_scale", float),
-    "model.identity": ("identity_X", bool),
-    "model.data_seed": ("data_seed", int),
-    "optimizer.kind": ("optimizer", str),
-    "optimizer.eta": ("eta", float),
-    "optimizer.iters": ("iters", int),
-    "optimizer.tol": ("tol", float),
-    "optimizer.seed": ("opt_seed", int),
-    "optimizer.record_every": ("record_every", int),
-    "diag.probe_samples": ("probe_samples", int),
-    "diag.probe_radius": ("probe_radius", float),
-    "diag.nu": ("nu", float),
-    "diag.lambda": ("lam", float),
-    "diag.regime": ("regime", str),
-    "diag.anchor_count": ("anchor_count", int),
-    "diag.anchors": ("anchors", bool),
-    "output.dir": ("out_dir", str),
-}
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
-_AUTO_FIELDS = ("eta", "tol", "probe_radius", "anchor_count")
+# config key -> RunConfig field, in declaration order
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+
+
+def _type(key: str) -> tuple[type, bool]:
+    """The key's value type, and whether it takes "auto": it does when typed X | None."""
+    typ = _FIELDS[key].type
+    args = get_args(typ)
+    return (args[0], True) if type(None) in args else (typ, False)
 
 
 def _coerce(key: str, raw: str) -> Any:
-    field_name, typ = _KEYS[key]
-    auto = field_name in _AUTO_FIELDS
+    typ, auto = _type(key)
     if auto and raw == "auto":
         return None
     if typ is bool:
@@ -159,16 +142,13 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name, _ = _KEYS[key]
+        field_name = _FIELDS[key].name
         if field_name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[field_name] = _coerce(key, raw)
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -179,14 +159,13 @@ def load_config(path) -> RunConfig:
 def config_to_text(cfg: RunConfig) -> str:
     """Serialize with every key present, in canonical order; round-trips losslessly."""
     lines = []
-    for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
+    for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
         if value is None:
             text = "auto"
         elif isinstance(value, bool):
             text = "on" if value else "off"
-        elif _KEYS[key][1] is float:
+        elif _type(key)[0] is float:
             text = f"{value:.17g}"
         else:
             text = str(value)
@@ -203,8 +182,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     """Apply `file-key -> raw string` overrides (same validation as parsing)."""
     updates: dict[str, Any] = {}
     for key, raw in overrides.items():
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        field_name, _ = _KEYS[key]
-        updates[field_name] = _coerce(key, raw)
+        updates[_FIELDS[key].name] = _coerce(key, raw)
     return replace(cfg, **updates)

@@ -189,10 +189,11 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float], best: float = 0.0
     return best, arg
 
 
-def _factor_stack(model: Model, points: Array) -> tuple[Array, ...]:
+def _factor_stack(model: Model, points: Array, radius: float) -> tuple[Array, ...]:
     """(factors, X, K, same, traces): every point's F_i (``Model.factors``) stacked as
     (m, n, k), X, K = X X^T, same[i] the first point with point i's factor bits, and
-    traces[i] = trace((F_i F_i^T) * K).
+    traces[i] = trace((F_i F_i^T) * K). Traces that overflow, as the factors of a far
+    enough probe ball do, refuse the ball of `radius` (CertificationError).
 
     J_i J_i^T = (F_i F_i^T) * K and (J_i - J_j)(J_i - J_j)^T = (D D^T) * K with
     D = F_i - F_j (``*`` entrywise), from inner products of lengths adding up to at
@@ -207,7 +208,11 @@ def _factor_stack(model: Model, points: Array) -> tuple[Array, ...]:
     bits = factors.reshape(len(points), -1).view((np.void, factors[0].nbytes))[:, 0]
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     K = X @ X.T
-    traces = np.array([np.add.reduce(factors[i] ** 2, axis=1) @ np.diag(K) for i in first])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a trace inf or nan
+        traces = np.array([np.add.reduce(factors[i] ** 2, axis=1) @ np.diag(K) for i in first])
+    if not np.isfinite(traces).all():
+        raise CertificationError(f"Jacobian Gram traces overflow in the probe ball of radius "
+                                 f"{radius:.10g}; cannot certify a plan")
     return factors, X, K, first[inverse], traces[inverse]
 
 
@@ -355,7 +360,7 @@ def probe_spectrum(
         points = np.vstack([points, trajectory_points])
     m = len(points)
 
-    factors, X, K, same, traces = _factor_stack(model, points)
+    factors, X, K, same, traces = _factor_stack(model, points, radius)
     lowers, uppers, rows = _point_brackets(factors, K, same, traces, model.p)
 
     @cache
@@ -526,7 +531,8 @@ def verify_assumptions(
     check_probeable(model)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
     pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-    search = _pair_search(points, pairs, *_factor_stack(model, points), model.p)
+    search = _pair_search(points, pairs, *_factor_stack(model, points, bounds.radius),
+                          model.p)
     limit = (1.0 - lam) * bounds.alpha**2 / bounds.beta
     max_dev, worst = search(False)
     # Starting from L leaves max(L, max ratio) and the smooth verdict unchanged.

@@ -211,6 +211,25 @@ def test_tall_model_refused_before_any_jacobian(tmp_path, monkeypatch, capsys, c
     assert built == []
 
 
+@pytest.mark.parametrize("radius", ["1e154", "1e160", "1e300"])
+@pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
+def test_probe_ball_that_overflows_the_jacobian_is_a_certification_failure(
+        tmp_path, capsys, command, radius):
+    # The factors' squares overflow, so no Gram of the ball can be bracketed or
+    # eigensolved: exit 1 without a numpy warning, where it was exit 2.
+    cfg = write(tmp_path, "ball.cfg", "model.family = lowrank\nmodel.n = 5\nmodel.d = 6\n"
+                f"model.r = 2\noptimizer.kind = sgd\ndiag.probe_radius = {radius}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", cfg, "--quiet", "--out", str(out)])
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr() == ("", (
+        f"certification failure: Jacobian Gram traces overflow in the probe ball of radius "
+        f"{float(radius):.10g}; cannot certify a plan\n"))
+    assert not out.exists()
+
+
 def zero_row_glm(cfg):
     """A GLM whose zero third row makes every Jacobian singular: alpha is exactly 0."""
     X = np.array([[1.0, 2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 3.0, 0.0, 0.0], np.zeros(5)])

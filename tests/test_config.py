@@ -1,9 +1,15 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from overparam.cli import build_model
 from overparam.config import (
     MODEL_FAMILIES,
+    OPTIMIZER_KINDS,
+    REGIMES,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -198,3 +204,120 @@ def test_model_config_is_refused_at_load_or_builds(family, n, p, d, r, k, activa
     expected_p = {"linear": p, "glm": p, "lowrank": d * r, "net": k * d}[family]
     assert (model.n, model.p, theta0.shape) == (n, expected_p, (expected_p,))
     assert min(model.n, model.p) >= 1
+
+
+# ---------------------------------------------------------------------------
+# The schema: each key declared once, on its RunConfig field
+# ---------------------------------------------------------------------------
+
+# Every key in canonical order with its default; the last line ends in "= ".
+DEFAULT_TEXT = """\
+model.family = linear
+model.n = 10
+model.p = 20
+model.d = 0
+model.r = 0
+model.k = 0
+model.activation = tanh_linear
+model.activation_scale = 0.29999999999999999
+model.identity = off
+model.data_seed = 0
+optimizer.kind = gd
+optimizer.eta = auto
+optimizer.iters = 200
+optimizer.tol = auto
+optimizer.seed = 0
+optimizer.record_every = 1
+diag.probe_samples = 64
+diag.probe_radius = auto
+diag.nu = 8
+diag.lambda = 0.5
+diag.regime = bounded
+diag.anchor_count = auto
+diag.anchors = off
+""" + "output.dir = \n"
+SCHEMA_KEYS = [f.metadata["key"] for f in fields(RunConfig)]
+
+
+def test_every_field_has_one_key_and_the_defaults_print_canonically():
+    assert all(set(f.metadata) == {"key"} for f in fields(RunConfig))
+    assert len(SCHEMA_KEYS) == len(set(SCHEMA_KEYS)) == 24
+    assert config_to_text(RunConfig()) == DEFAULT_TEXT
+    assert [line.split(" = ")[0] for line in DEFAULT_TEXT.splitlines()] == SCHEMA_KEYS
+    assert parse_config_text(DEFAULT_TEXT) == RunConfig()
+
+
+# What `key = auto` does for each key that is not typed X | None: a number or an
+# on/off key refuses it as its type, a word key reads it as the word.
+_INTEGER_KEYS = ("model.n", "model.p", "model.d", "model.r", "model.k", "model.data_seed",
+                 "optimizer.iters", "optimizer.seed", "optimizer.record_every",
+                 "diag.probe_samples")
+_AUTO_REFUSED = {
+    **{key: f"{key} must be an integer, got 'auto'" for key in _INTEGER_KEYS},
+    **{key: f"{key} must be a number, got 'auto'"
+       for key in ("model.activation_scale", "diag.nu", "diag.lambda")},
+    **{key: f"{key} must be on/off, got 'auto'" for key in ("model.identity", "diag.anchors")},
+    "model.family": f"model.family must be one of {MODEL_FAMILIES}, got 'auto'",
+    "optimizer.kind": f"optimizer.kind must be one of {OPTIMIZER_KINDS}, got 'auto'",
+    "diag.regime": f"diag.regime must be one of {REGIMES}, got 'auto'",
+}
+_AUTO_AS_A_WORD = {"model.activation": "activation", "output.dir": "out_dir"}
+_AUTO_TAKEN = {"optimizer.eta": "eta", "optimizer.tol": "tol",
+               "diag.probe_radius": "probe_radius", "diag.anchor_count": "anchor_count"}
+
+
+def test_auto_is_taken_by_exactly_the_fields_typed_x_or_none():
+    optional = {f.metadata["key"] for f in fields(RunConfig) if "None" in str(f.type)}
+    assert optional == set(_AUTO_TAKEN)
+    assert sorted([*_AUTO_REFUSED, *_AUTO_AS_A_WORD, *_AUTO_TAKEN]) == sorted(SCHEMA_KEYS)
+
+
+@pytest.mark.parametrize("key", SCHEMA_KEYS)
+def test_each_key_reads_auto_as_it_always_has(key):
+    if key in _AUTO_REFUSED:
+        for load in (lambda: parse_config_text(f"{key} = auto\n"),
+                     lambda: apply_overrides(RunConfig(), {key: "auto"})):
+            with pytest.raises(ConfigError) as refused:
+                load()
+            assert str(refused.value) == _AUTO_REFUSED[key]
+        return
+    cfg = parse_config_text(f"{key} = auto\n")
+    assert cfg == apply_overrides(RunConfig(), {key: "auto"})
+    if key in _AUTO_TAKEN:
+        assert getattr(cfg, _AUTO_TAKEN[key]) is None
+        assert f"{key} = auto\n" in config_to_text(cfg)
+    else:
+        assert getattr(cfg, _AUTO_AS_A_WORD[key]) == "auto"
+
+
+_RAW_VALUES = st.one_of(
+    st.sampled_from(["auto", "on", "off"]),
+    st.integers().map(str),
+    st.floats().map(repr),  # nan, inf and -inf included
+    st.sampled_from([*MODEL_FAMILIES, *OPTIMIZER_KINDS, *REGIMES, *ACTIVATIONS]),
+    st.from_regex(r"[A-Za-z_]{1,12}", fullmatch=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(SCHEMA_KEYS), raw=_RAW_VALUES)
+def test_a_key_value_is_refused_naming_a_key_or_prints_a_fixed_point(key, raw):
+    """A value either fails to load, naming a key, the same from a file and as an
+    override, or loads to a config whose canonical text parses back to itself."""
+    try:
+        cfg = parse_config_text(f"{key} = {raw}\n")
+    except ConfigError as exc:
+        assert str(exc).split(" ")[0] in SCHEMA_KEYS
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            apply_overrides(RunConfig(), {key: raw})
+        return
+    text = config_to_text(cfg)
+    assert config_to_text(apply_overrides(RunConfig(), {key: raw})) == text
+    assert config_to_text(parse_config_text(text)) == text
+
+
+def test_readme_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in SCHEMA_KEYS
+               if not re.search(rf"(?<![\w.]){re.escape(key)}(?![\w])", readme)]
+    assert missing == []

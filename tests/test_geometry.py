@@ -280,7 +280,8 @@ def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scal
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
     points.append(points[-1] * (1.0 + 2.0**-52))
-    factors, X, K, same, traces = geometry._factor_stack(model, np.array(points))
+    factors, X, K, same, traces = geometry._factor_stack(
+        model, np.array(points), 10.0 ** max(log_radii))
     pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
     bounds = geometry._pair_bounds(factors, K, same, traces, pairs, model.p)
     jacobians = [model.jacobian(pt) for pt in points]
@@ -331,8 +332,8 @@ def test_pair_search_is_the_full_dense_loop(family, zoo_seed, log_radii, starts,
     devs = [spectral_norm(jacobians[i] - jacobians[j]) for i, j in pairs]
     gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
     ratios = [dev / gap if gap > 0.0 else -np.inf for dev, gap in zip(devs, gaps)]
-    search = geometry._pair_search(points, pairs, *geometry._factor_stack(model, points),
-                                   model.p)
+    search = geometry._pair_search(
+        points, pairs, *geometry._factor_stack(model, points, 10.0 ** max(log_radii)), model.p)
     # One search serves both extrema, as in verify_assumptions, from a starting best
     # anywhere from 0 to past the maximum.
     for ratio, values, start in [(False, devs, starts[0]), (True, ratios, starts[1])]:
@@ -403,7 +404,8 @@ def test_gram_brackets_hold_the_dense_values(family, zoo_seed, log_radii, log_sc
     for log_radius in log_radii:
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
-    factors, X, K, same, traces = geometry._factor_stack(model, np.array(points))
+    factors, X, K, same, traces = geometry._factor_stack(
+        model, np.array(points), 10.0 ** max(log_radii))
     jacobians = [model.jacobian(pt) for pt in points]
     for F, J, trace in zip(factors, jacobians, traces):
         assert np.array_equal(kron_rows(F, X), J)  # what geometry evaluates
@@ -486,7 +488,8 @@ def test_threshold_test_certifies_only_pairs_below_the_threshold(family, zoo_see
     for log_radius in log_radii:
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
-    factors, X, K, same, traces = geometry._factor_stack(model, np.array(points))
+    factors, X, K, same, traces = geometry._factor_stack(
+        model, np.array(points), 10.0 ** max(log_radii))
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             D = factors[i] - factors[j]
@@ -562,8 +565,8 @@ def test_bench_net_probe_builds_jacobians_only_for_dense_evaluations(monkeypatch
     stacks = []
     factor_stack = geometry._factor_stack
     monkeypatch.setattr(geometry, "_factor_stack",
-                        lambda model, points: stacks.append(len(points))
-                        or factor_stack(model, points))
+                        lambda model, points, radius: stacks.append(len(points))
+                        or factor_stack(model, points, radius))
     factor_calls = count_calls(monkeypatch, model, "factors")
     builds = count_calls(monkeypatch, geometry, "kron_rows")
     svds = count_calls(monkeypatch, np.linalg, "svd")
