@@ -107,10 +107,16 @@ def _matrix() -> list[tuple[str, str, list[str]]]:
                 [*sgd, "optimizer.eta=3", "diag.anchors=on", "optimizer.record_every=5"]))
     out.append(("run_glm0_sgd_tol", "run", [*sgd, "optimizer.tol=4.85"]))
     out.append(("run_tall", "run", ["run", "--config", "tall.cfg"]))
-    # Exit 1: a probe ball whose Jacobian Gram traces overflow.
+    # Exit 1: a probe ball whose Jacobian Gram traces overflow, also in the
+    # factors themselves (1e308), and one whose point gaps overflow (1e160).
     for command in ("run", "verify"):
         out.append((f"{command}_lowrank0_radius1e300", command,
                     [command, "--config", "lowrank0.cfg", "diag.probe_radius=1e300"]))
+    out.append(("run_lowrank0_radius1e308", "run",
+                ["run", "--config", "lowrank0.cfg", "diag.probe_radius=1e308"]))
+    for command in ("run", "verify"):
+        out.append((f"{command}_glm0_radius1e160", command,
+                    [command, "--config", "glm0.cfg", "diag.probe_radius=1e160"]))
     # Exit 2: a parameter error and a config error.
     out.append(("run_net_rate_one", "run", ["run", "--config", "net_rate_one.cfg"]))
     out.append(("run_unknown_key", "run", ["run", "--config", "unknown_key.cfg"]))
