@@ -192,23 +192,23 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float], best: float = 0.0
 def _factor_stack(model: Model, points: Array, radius: float) -> tuple[Array, ...]:
     """(factors, X, K, same, traces): every point's F_i (``Model.factors``) stacked as
     (m, n, k), X, K = X X^T, same[i] the first point with point i's factor bits, and
-    traces[i] = trace((F_i F_i^T) * K). Traces that overflow, as the factors of a far
-    enough probe ball do, refuse the ball of `radius` (CertificationError).
+    traces[i] = trace((F_i F_i^T) * K). Factors or traces that overflow, as a far enough
+    probe ball's do, refuse the ball of `radius` (CertificationError) without a warning.
 
     J_i J_i^T = (F_i F_i^T) * K and (J_i - J_j)(J_i - J_j)^T = (D D^T) * K with
     D = F_i - F_j (``*`` entrywise), from inner products of lengths adding up to at
     most p + 1, as ``gram_brackets`` assumes. ``kron_rows(F_i, X)`` is
     ``model.jacobian`` bit for bit, so equal factor bits mean equal Jacobian bits.
     """
-    F, X = model.factors(points[0])
-    factors = np.empty((len(points), *F.shape))
-    factors[0] = F
-    for i in range(1, len(points)):
-        factors[i] = model.factors(points[i])[0]
-    bits = factors.reshape(len(points), -1).view((np.void, factors[0].nbytes))[:, 0]
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    K = X @ X.T
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a trace inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves an inf or nan
+        F, X = model.factors(points[0])
+        factors = np.empty((len(points), *F.shape))
+        factors[0] = F
+        for i in range(1, len(points)):
+            factors[i] = model.factors(points[i])[0]
+        bits = factors.reshape(len(points), -1).view((np.void, factors[0].nbytes))[:, 0]
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        K = X @ X.T
         traces = np.array([np.add.reduce(factors[i] ** 2, axis=1) @ np.diag(K) for i in first])
     if not np.isfinite(traces).all():
         raise CertificationError(f"Jacobian Gram traces overflow in the probe ball of radius "
@@ -295,16 +295,25 @@ def _ratio_below(G: Array, scale: float, p: int, limit: float, over: float) -> b
     return t > b and _cholesky_below(G, (t - b) ** 2 - (p + 4) * _U * np.trace(G))
 
 
-def _pair_search(points: Array, pairs: list[tuple[int, int]], factors: Array, X: Array,
-                 K: Array, same: Array, traces: Array, p: int) -> Callable[..., tuple]:
+def _pair_search(points: Array, pairs: list[tuple[int, int]], radius: float, factors: Array,
+                 X: Array, K: Array, same: Array, traces: Array, p: int) -> Callable[..., tuple]:
     """search(ratio, best=0.0): ``_exact_max`` of the ``spectral_norm`` of J_i - J_j over
     pairs[k] = (i, j), divided by over[k] = ||points[i] - points[j]|| when ratio
     (coincident points skipped), else by 1. Each pair is bounded (``_pair_bounds``),
     then tested (``_ratio_below`` of its difference Gram at the best so far), then
-    evaluated densely; dense values are cached across searches.
+    evaluated densely; dense values are cached across searches. Gaps that overflow
+    refuse the probe ball of `radius` (CertificationError) without a warning.
     """
     bounds = _pair_bounds(factors, K, same, traces, pairs, p)
-    gaps = np.array([float(np.linalg.norm(points[i] - points[j])) for i, j in pairs])
+    gaps = np.empty(len(pairs))  # each np.linalg.norm(points[i] - points[j]), bit for bit
+    block = max(1, 2**13 // points.shape[1])  # pairs in one difference stack (<= 64 kB)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(pairs), block):
+            D = np.subtract(*points[np.array(pairs[start:start + block]).T])
+            gaps[start:start + block] = np.sqrt(np.vecdot(D, D))
+    if not np.isfinite(gaps).all():
+        raise CertificationError(f"probe point gaps overflow in the probe ball of radius "
+                                 f"{radius:.10g}; cannot certify a plan")
 
     @cache
     def deviation(k: int) -> float:
@@ -380,7 +389,7 @@ def probe_spectrum(
     else:
         pairs = [(0, j) for j in range(1, m)]
         pairs += [(j, j + 1) for j in range(1, m - 1)]
-    lipschitz_L, _ = _pair_search(points, pairs, factors, X, K, same, traces, model.p)(True)
+    lipschitz_L, _ = _pair_search(points, pairs, radius, factors, X, K, same, traces, model.p)(True)
 
     return SpectrumBounds(
         alpha=-neg_alpha,
@@ -531,8 +540,8 @@ def verify_assumptions(
     check_probeable(model)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
     pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-    search = _pair_search(points, pairs, *_factor_stack(model, points, bounds.radius),
-                          model.p)
+    search = _pair_search(points, pairs, bounds.radius,
+                          *_factor_stack(model, points, bounds.radius), model.p)
     limit = (1.0 - lam) * bounds.alpha**2 / bounds.beta
     max_dev, worst = search(False)
     # Starting from L leaves max(L, max ratio) and the smooth verdict unchanged.

@@ -176,14 +176,12 @@ class Model:
     """Residual map f: R^p -> R^n with labels y and exact Jacobian.
 
     Subclasses implement ``predictions`` and ``factors``; everything else
-    derives from those, ``jacobian`` and ``pullback`` (through which
-    ``gradient`` reaches J^T r) included. The net and low-rank families,
-    whose SGD steps go through ``per_sample_gradient``, override
-    ``jacobian_row`` with an O(p) path; GLM SGD steps on a kept X theta
-    instead. ``LowRankModel`` also overrides ``pullback``, because its
-    factor is the dense Jacobian.
-    ``predictions``, ``factors``, ``jacobian_row`` and ``pullback`` check
-    theta (shape (p,), finite, else ValueError); ``residual``,
+    derives from those: ``jacobian``, ``jacobian_row`` (the factors of one
+    sample, which ``per_sample_gradient`` reads) and ``pullback`` (through which
+    ``gradient`` reaches J^T r). ``LowRankModel`` alone overrides ``pullback``,
+    because its factor is the dense Jacobian.
+    ``predictions``, ``factors`` and ``pullback`` check theta (shape (p,),
+    finite, else ValueError); ``residual``, ``jacobian_row``,
     ``per_sample_gradient`` and the rest rely on them. Models are immutable
     but for the lazily cached, deterministic ``LowRankModel.Xs_sym`` (safe to
     build twice), so they are safe to share across threads; all evaluations
@@ -198,9 +196,10 @@ class Model:
     def predictions(self, theta: Array) -> Array:
         raise NotImplementedError
 
-    def factors(self, theta: Array) -> tuple[Array, Array]:
-        """(F, X) with F of shape (n, k) and X of shape (n, q), k q = p, such that
-        row r of the Jacobian is F_r (x) x_r (``kron_rows``). X does not depend on theta."""
+    def factors(self, theta: Array, rows: slice = slice(None)) -> tuple[Array, Array]:
+        """(F, X) for the m samples of ``rows``: F of shape (m, k) and X of shape (m, q),
+        k q = p, such that the Jacobian row of the r-th is F_r (x) x_r (``kron_rows``). X
+        does not depend on theta. A family written outside this package must accept rows."""
         raise NotImplementedError
 
     def jacobian(self, theta: Array) -> Array:
@@ -235,8 +234,10 @@ class Model:
         return self.pullback(theta, self.residual(theta) if r is None else r)
 
     def jacobian_row(self, theta: Array, i: int) -> Array:
-        """Row i of the Jacobian; the net and low-rank families override it with an O(p) path."""
-        return self.jacobian(theta)[i]
+        """Row i of the Jacobian, from the factors of sample i alone."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"sample index {i} out of range [0, {self.n})")
+        return kron_rows(*self.factors(theta, slice(i, i + 1)))[0]
 
     def per_sample_gradient(self, theta: Array, i: int, r: Array | None = None) -> Array:
         """Gradient contribution of sample i: r_i(theta) * J_i(theta)^T.
@@ -244,10 +245,7 @@ class Model:
         The average over all i equals gradient(theta)/n. r is the full
         residual at theta if already measured, as in ``gradient``.
         """
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} out of range [0, {self.n})")
-        r_i = float((self.residual(theta) if r is None else r)[i])
-        return r_i * self.jacobian_row(theta, i)
+        return self.jacobian_row(theta, i) * float((self.residual(theta) if r is None else r)[i])
 
 
 class GLMModel(Model):
@@ -270,9 +268,9 @@ class GLMModel(Model):
     def predictions(self, theta: Array) -> Array:
         return self.act.phi(self.pre_activations(theta))
 
-    def factors(self, theta: Array) -> tuple[Array, Array]:
+    def factors(self, theta: Array, rows: slice = slice(None)) -> tuple[Array, Array]:
         """(dphi(X theta) as a column, X): row r of the Jacobian is dphi(x_r . theta) x_r."""
-        return self.act.dphi(self.pre_activations(theta))[:, None], self.X
+        return self.act.dphi(self.X[rows] @ _as_param(theta, self.p))[:, None], self.X[rows]
 
 
 class LinearModel(GLMModel):
@@ -326,14 +324,10 @@ class LowRankModel(Model):
         Theta = self.factor(theta)
         return _split(lambda Xs: np.einsum("dr,idr->i", Theta, Xs @ Theta), self.Xs, self.n // 2)
 
-    def factors(self, theta: Array) -> tuple[Array, Array]:
+    def factors(self, theta: Array, rows: slice = slice(None)) -> tuple[Array, Array]:
         """(J, ones((n, 1))): no product structure, so the factor is the dense Jacobian."""
-        G = self.Xs_sym @ self.factor(theta)  # (n, d, r)
-        return G.transpose(0, 2, 1).reshape(self.n, self.p), np.ones((self.n, 1))
-
-    def jacobian_row(self, theta: Array, i: int) -> Array:
-        Theta = self.factor(theta)
-        return self.flatten_factor(self.Xs_sym[i] @ Theta)
+        G = self.Xs_sym[rows] @ self.factor(theta)  # (m, d, r)
+        return G.transpose(0, 2, 1).reshape(len(G), self.p), np.ones((len(G), 1))
 
     def pullback(self, theta: Array, r: Array) -> Array:
         Theta = self.factor(theta)
@@ -375,12 +369,7 @@ class ShallowNetModel(Model):
         Z = self.X @ self.weights(theta).T  # (n, k)
         return self.act.phi(Z) @ self.v
 
-    def factors(self, theta: Array) -> tuple[Array, Array]:
+    def factors(self, theta: Array, rows: slice = slice(None)) -> tuple[Array, Array]:
         """(v * dphi(X W^T), X): block j of Jacobian row r is D[r, j] x_r, so
         J J^T = (D D^T) * X X^T, the Gram of Du et al. 2018."""
-        return self.act.dphi(self.X @ self.weights(theta).T) * self.v[None, :], self.X
-
-    def jacobian_row(self, theta: Array, i: int) -> Array:
-        z = self.weights(theta) @ self.X[i]
-        d = self.act.dphi(z) * self.v
-        return (d[:, None] * self.X[i][None, :]).reshape(-1)
+        return self.act.dphi(self.X[rows] @ self.weights(theta).T) * self.v[None, :], self.X[rows]

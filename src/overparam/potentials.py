@@ -326,8 +326,8 @@ def _jacobian_drift(model: Model, theta: Array, eta: float,
     """(misfit, distance) drifts at one state, its successors from one Jacobian."""
     theta = np.asarray(theta, dtype=float)
     r = model.residual(theta)
-    # Row i is per_sample_gradient(theta, i) only to rounding: jacobian_row takes
-    # sample i's own products, J's rows whole-batch ones, and last bits may differ.
+    # Low-rank rows are per_sample_gradient(theta, i) bit for bit; GLM and net rows only
+    # to rounding, as jacobian_row forms sample i's product alone and J all n at once.
     grads = r[:, None] * model.jacobian(theta)
     offsets = theta[None, :] - anchors.anchors  # (K, p)
     base_sq = np.einsum("kp,kp->k", offsets, offsets)

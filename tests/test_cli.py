@@ -211,12 +211,12 @@ def test_tall_model_refused_before_any_jacobian(tmp_path, monkeypatch, capsys, c
     assert built == []
 
 
-@pytest.mark.parametrize("radius", ["1e154", "1e160", "1e300"])
+@pytest.mark.parametrize("radius", ["1e154", "1e160", "1e300", "1e308"])
 @pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
 def test_probe_ball_that_overflows_the_jacobian_is_a_certification_failure(
         tmp_path, capsys, command, radius):
-    # The factors' squares overflow, so no Gram of the ball can be bracketed or
-    # eigensolved: exit 1 without a numpy warning, where it was exit 2.
+    # The factors' squares overflow (at 1e308 the factors themselves), so no Gram of
+    # the ball can be bracketed or eigensolved: exit 1 without a numpy warning.
     cfg = write(tmp_path, "ball.cfg", "model.family = lowrank\nmodel.n = 5\nmodel.d = 6\n"
                 f"model.r = 2\noptimizer.kind = sgd\ndiag.probe_radius = {radius}\n")
     out = tmp_path / "out"
@@ -226,6 +226,26 @@ def test_probe_ball_that_overflows_the_jacobian_is_a_certification_failure(
     assert code == EXIT_VIOLATION
     assert capsys.readouterr() == ("", (
         f"certification failure: Jacobian Gram traces overflow in the probe ball of radius "
+        f"{float(radius):.10g}; cannot certify a plan\n"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, radius", [("glm", "1e160"), ("net", "1e160"), ("net", "1e300")])
+@pytest.mark.parametrize("command", ["run", "verify", "sgd-martingale"])
+def test_probe_ball_whose_point_gaps_overflow_is_a_certification_failure(
+        tmp_path, capsys, command, family, radius):
+    # The Jacobians stay finite but the squared gaps between probe points overflow, which
+    # gave L = 0 and a passing smooth check: exit 1 without a numpy warning.
+    sizes = {"glm": "model.p = 8\n", "net": "model.d = 8\nmodel.k = 3\n"}[family]
+    cfg = write(tmp_path, "ball.cfg", f"model.family = {family}\nmodel.n = 5\n{sizes}"
+                f"optimizer.kind = sgd\ndiag.probe_radius = {radius}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", cfg, "--quiet", "--out", str(out)])
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr() == ("", (
+        f"certification failure: probe point gaps overflow in the probe ball of radius "
         f"{float(radius):.10g}; cannot certify a plan\n"))
     assert not out.exists()
 

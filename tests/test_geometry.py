@@ -332,8 +332,9 @@ def test_pair_search_is_the_full_dense_loop(family, zoo_seed, log_radii, starts,
     devs = [spectral_norm(jacobians[i] - jacobians[j]) for i, j in pairs]
     gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
     ratios = [dev / gap if gap > 0.0 else -np.inf for dev, gap in zip(devs, gaps)]
+    radius = 10.0 ** max(log_radii)
     search = geometry._pair_search(
-        points, pairs, *geometry._factor_stack(model, points, 10.0 ** max(log_radii)), model.p)
+        points, pairs, radius, *geometry._factor_stack(model, points, radius), model.p)
     # One search serves both extrema, as in verify_assumptions, from a starting best
     # anywhere from 0 to past the maximum.
     for ratio, values, start in [(False, devs, starts[0]), (True, ratios, starts[1])]:

@@ -124,6 +124,7 @@ def model_classes():
 
 def test_jacobian_is_defined_once_from_the_factors():
     assert [cls for cls in model_classes() if "jacobian" in vars(cls)] == [Model]
+    assert [cls for cls in model_classes() if "jacobian_row" in vars(cls)] == [Model]
     for family, (model, theta) in model_zoo(2).items():
         F, X = model.factors(theta)
         assert F.shape[0] == X.shape[0] == model.n and F.shape[1] * X.shape[1] == model.p
@@ -182,8 +183,11 @@ def test_per_sample_gradient_examples():
     assert_allclose(total, m.gradient(theta))
     md = LinearModel(np.diag([1.0, 2.0]), np.array([0.0, 4.0]))
     assert_allclose(md.per_sample_gradient(np.zeros(2), 1), [0.0, -8.0])
-    with pytest.raises(IndexError):
-        m.per_sample_gradient(theta, 2)
+    for i in (2, -1):
+        with pytest.raises(IndexError, match=f"sample index {i} out of range"):
+            m.per_sample_gradient(theta, i)
+        with pytest.raises(IndexError, match=f"sample index {i} out of range"):
+            m.jacobian_row(theta, i)
 
 
 def test_dimension_mismatch_raises():
@@ -285,6 +289,61 @@ def test_jacobian_row_shortcut_agrees_with_full_matrix(family, seed):
     J = model.jacobian(theta)
     for i in range(model.n):
         assert np.allclose(model.jacobian_row(theta, i), J[i], rtol=1e-14, atol=0)
+
+
+def test_per_sample_gradient_reads_the_factors_of_its_sample_alone(family, monkeypatch):
+    # An SGD step reads one Jacobian row: the factors of sample i, never the n x p Jacobian.
+    model, theta = model_zoo(0)[family]
+    r = model.residual(theta)
+    factors, rows = model.factors, []
+    monkeypatch.setattr(model, "factors",
+                        lambda th, at=slice(None): rows.append(at) or factors(th, at))
+    monkeypatch.setattr(model, "jacobian", lambda th: pytest.fail("jacobian called"))
+    for i in range(model.n):
+        rows.clear()
+        model.per_sample_gradient(theta, i, r)
+        assert rows == [slice(i, i + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+@pytest.mark.parametrize("d", [1, 3, 12, 40])
+def test_net_and_lowrank_rows_are_the_one_sample_closed_form_bit_for_bit(n, d):
+    # Row i as the net and low-rank families once wrote it out: (dphi(W x_i) * v) (x) x_i
+    # and Xs_sym[i] Theta flattened column-major, each from sample i's own products.
+    # The thread count picks the gemv kernel of W x_i, so CI also runs this unpinned.
+    rng = np.random.default_rng(100 * n + d)
+    act = tanh_linear(0.3)
+    for k in sorted({1, 4, d + 3}):
+        X = rng.standard_normal((n, d))
+        v = rng.standard_normal(k)
+        net = ShallowNetModel(X, rng.standard_normal(n), v / np.linalg.norm(v), act)
+        theta = 3.0 * rng.standard_normal(net.p)
+        W = net.weights(theta)
+        for i in range(n):
+            want = ((act.dphi(W @ X[i]) * net.v)[:, None] * X[i][None, :]).reshape(-1)
+            assert np.array_equal(net.jacobian_row(theta, i), want)
+    for r in sorted({1, (d + 1) // 2, d}):
+        model, theta, _ = _lowrank_case(n, d, r, seed=1000 * n + 10 * d + r)
+        Theta = model.factor(theta)
+        for i in range(n):
+            want = (model.Xs_sym[i] @ Theta).reshape(-1, order="F")
+            assert np.array_equal(model.jacobian_row(theta, i), want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factors_of_a_row_range_are_those_rows_of_all_factors(family, seed):
+    # The low-rank factor is a stack of per-sample products, so its rows keep their
+    # bits; a GLM or net product over fewer rows may round its last bits differently.
+    model, theta = model_zoo(seed)[family]
+    F, X = model.factors(theta)
+    for a in range(model.n):
+        for b in range(a + 1, model.n + 1):
+            Fs, Xs = model.factors(theta, slice(a, b))
+            assert np.array_equal(Xs, X[a:b])
+            if isinstance(model, LowRankModel):
+                assert np.array_equal(Fs, F[a:b])
+            else:
+                assert_allclose(Fs, F[a:b], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(5))
