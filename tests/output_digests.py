@@ -89,6 +89,8 @@ def _matrix() -> list[tuple[str, str, list[str]]]:
                         ["sgd-martingale", *cfg, "optimizer.kind=sgd", "optimizer.iters=100"]))
     out.append(("experiment_lowrank_n25", "experiment-lowrank",
                 ["experiment-lowrank", "--n", "25"]))
+    out.append(("experiment_lowrank_all", "experiment-lowrank",
+                ["experiment-lowrank", "--n", "all", "--iters", "5"]))
     for mode in ("tight-upper", "tight-lower"):
         out.append((f"lower_bound_{mode.replace('-', '_')}", "lower-bound",
                     ["lower-bound", "--alpha", "1", "--beta", "2", "--mode", mode]))
