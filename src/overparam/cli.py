@@ -13,13 +13,15 @@ output path is refused before any work.
 from __future__ import annotations
 
 import argparse
+import copy
 import math
 import os
 import sys
+import threading
 import traceback
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,13 +86,22 @@ Array = np.ndarray
 # Instance construction from a RunConfig
 # ---------------------------------------------------------------------------
 
-def lowrank_instance(n: int, seed: int, d: int = 100, r: int = 4) -> tuple[LowRankModel, Array]:
-    """Synthetic low-rank regression: Gaussian features, Rademacher labels."""
+def lowrank_instances(sizes: Sequence[int], seed: int, d: int = 100,
+                      r: int = 4) -> list[tuple[LowRankModel, Array]]:
+    """Synthetic low-rank regressions, Gaussian features and Rademacher labels, one per
+    size with the bits of its own default_rng(seed) draw. The features are drawn once, in
+    row blocks ending at each size, and each model takes a prefix view; a size's labels
+    come from a copy of the generator at its boundary."""
     rng = np.random.default_rng(seed)
-    Xs = rng.standard_normal((n, d, d))
-    y = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    theta0 = lowrank_init(d, r, n, float(np.linalg.norm(y)), seed=seed)
-    return LowRankModel(Xs, y, d, r), theta0
+    Xs = np.empty((max(sizes), d, d))
+    instances, lo = {}, 0
+    for n in sorted(set(sizes)):
+        rng.standard_normal(out=Xs[lo:n])
+        y = copy.deepcopy(rng).integers(0, 2, size=n) * 2.0 - 1.0
+        instances[n] = (LowRankModel(Xs[:n], y, d, r),
+                        lowrank_init(d, r, n, float(np.linalg.norm(y)), seed=seed))
+        lo = n
+    return [instances[n] for n in sizes]
 
 
 def build_model(cfg: RunConfig) -> tuple[Model, Array]:
@@ -111,7 +122,7 @@ def build_model(cfg: RunConfig) -> tuple[Model, Array]:
             return LinearModel(X, y), theta0
         return GLMModel(X, y, ACTIVATIONS[cfg.activation](cfg.activation_scale)), theta0
     if family == "lowrank":
-        return lowrank_instance(cfg.n, cfg.data_seed, cfg.d, cfg.r)
+        return lowrank_instances([cfg.n], cfg.data_seed, cfg.d, cfg.r)[0]
     # Only the net family is left.
     n, d, k = cfg.n, cfg.d, cfg.k
     X = rng.standard_normal((n, d))
@@ -244,12 +255,32 @@ def anchor_packing(cfg: RunConfig, model: Model, theta0: Array, misfit0: float,
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-def run_lowrank_experiment(n: int, seed: int, iters: int = 200) -> tuple[Trajectory, float, float]:
-    """One trajectory of the low-rank study; returns (trajectory, eta, c1)."""
-    model, theta0 = lowrank_instance(n, seed)
-    eta, c1 = auto_tune_lowrank_eta(model, theta0)
-    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters))
-    return traj, eta, c1
+def run_lowrank_study(sizes: Sequence[int], seed: int,
+                      iters: int = 200) -> list[tuple[Trajectory, float, float]]:
+    """(trajectory, eta, c1) of the low-rank study at each size, from one shared draw
+    (``lowrank_instances``). This thread and one other take the sizes largest first; if
+    any fails, the smallest failing size's exception is raised once both are done."""
+    instances = lowrank_instances(sizes, seed)
+    ascending = sorted(range(len(sizes)), key=sizes.__getitem__)
+    todo, results = iter(ascending[::-1]), {}
+
+    def work() -> None:
+        for k in todo:  # the shared iterator hands each size to one thread
+            model, theta0 = instances[k]
+            try:
+                eta, c1 = auto_tune_lowrank_eta(model, theta0)
+                results[k] = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters)), eta, c1
+            except Exception as exc:  # raised on the calling thread below
+                results[k] = exc
+
+    helper = threading.Thread(target=work, daemon=True)
+    helper.start()
+    work()
+    helper.join()
+    for k in ascending:
+        if isinstance(results[k], Exception):
+            raise results[k]
+    return [results[k] for k in range(len(sizes))]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +531,7 @@ def cmd_experiment_lowrank(args) -> int:
     iters = _number_flag(args, "iters", int, 1)
     out = _out_dir(args)
     lines, files = [], {}
-    for n in sizes:
-        traj, eta, c1 = run_lowrank_experiment(n, seed, iters=iters)
+    for n, (traj, eta, c1) in zip(sizes, run_lowrank_study(sizes, seed, iters=iters)):
         files[f"lowrank_n{n}_seed{seed}.csv"] = traj.save
         lines.append(
             f"n={n} seed={seed} c1={c1:.17g} eta={eta:.17g} "

@@ -8,9 +8,6 @@ column-major (columns concatenated), hidden-layer weight matrices row by row.
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -137,36 +134,6 @@ def vector_norm(v: Array) -> float:
     return math.sqrt(v @ v)
 
 
-_workers: dict[int, queue.SimpleQueue] = {}  # by pid; racing first calls each start a worker
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    while True:
-        fn, arg, reply = tasks.get()
-        try:
-            out = fn(arg)
-        except BaseException as exc:  # handed back for the caller to raise
-            out = exc
-        del fn, arg  # the caller wakes to no reference from here to the task's arrays
-        reply.put(out)
-        del reply, out
-
-
-def _split(fn: Callable[[Array], Array], A: Array, h: int) -> Array:
-    """fn(A[:h]) and fn(A[h:]) joined, the second on the worker when the process may use two CPUs."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    if len(cpus) < 2:
-        return np.concatenate((fn(A[:h]), fn(A[h:])))
-    if (tasks := _workers.get(os.getpid())) is None:  # a forked child starts its own worker
-        tasks = _workers[os.getpid()] = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(tasks,), daemon=True).start()
-    tasks.put((fn, A[h:], reply := queue.SimpleQueue()))
-    first, second = fn(A[:h]), reply.get()
-    if isinstance(second, BaseException):
-        raise second
-    return np.concatenate((first, second))
-
-
 def kron_rows(F: Array, X: Array) -> Array:
     """The n x (k q) matrix whose row r is F_r (x) x_r, one rounded product an entry."""
     return (F[:, :, None] * X[:, None, :]).reshape(len(F), -1)
@@ -185,8 +152,7 @@ class Model:
     ``per_sample_gradient`` and the rest rely on them. Models are immutable
     but for the lazily cached, deterministic ``LowRankModel.Xs_sym`` (safe to
     build twice), so they are safe to share across threads; all evaluations
-    are pure functions of (model, theta). The low-rank kernels hand half of
-    their work to one worker thread per process.
+    are pure functions of (model, theta).
     """
 
     n: int
@@ -290,8 +256,8 @@ class LowRankModel(Model):
     The factor Theta in R^{d x r} is stored column-major in theta. The exact
     Jacobian row is vect((X_i + X_i^T) Theta)^T; with asymmetric feature
     matrices this differs from the symmetrized convention vect(X_i Theta)^T by
-    up to a factor of two in the spectrum. Given two CPUs, ``predictions`` and ``pullback``
-    compute two halves at once; each entry takes the unsplit kernel's numpy call and bits.
+    up to a factor of two in the spectrum. ``Xs`` may be a view: the low-rank study
+    gives each of its sizes a prefix of one shared draw.
     """
 
     def __init__(self, Xs: Array, y: Array, d: int, r: int):
@@ -322,7 +288,7 @@ class LowRankModel(Model):
 
     def predictions(self, theta: Array) -> Array:
         Theta = self.factor(theta)
-        return _split(lambda Xs: np.einsum("dr,idr->i", Theta, Xs @ Theta), self.Xs, self.n // 2)
+        return np.einsum("dr,idr->i", Theta, self.Xs @ Theta)
 
     def factors(self, theta: Array, rows: slice = slice(None)) -> tuple[Array, Array]:
         """(J, ones((n, 1))): no product structure, so the factor is the dense Jacobian."""
@@ -331,7 +297,7 @@ class LowRankModel(Model):
 
     def pullback(self, theta: Array, r: Array) -> Array:
         Theta = self.factor(theta)
-        M = _split(lambda X: np.einsum("i,aib->ab", r, X), self.Xs.transpose(1, 0, 2), self.d // 2)
+        M = np.einsum("i,iab->ab", r, self.Xs)
         return self.flatten_factor((M + M.T) @ Theta)
 
 

@@ -17,7 +17,7 @@ from overparam.bounds import (
     make_lower_bound_instance,
     sgd_run_survives,
 )
-from overparam.cli import net_step_size, run_lowrank_experiment
+from overparam.cli import net_step_size, run_lowrank_study
 from overparam.descent import GeneralLoss, OptimConfig, run_gd, run_pl_gd, run_sgd
 from overparam.geometry import gd_plan, probe_spectrum, verify_assumptions
 from overparam.models import (
@@ -280,9 +280,8 @@ def test_criterion_08_lowrank_experiment():
     final_misfit = {n: [] for n in sizes}
     final_dist = {n: [] for n in sizes}
     monotone = True
-    for n in sizes:
-        for seed in seeds:
-            traj, eta, c1 = run_lowrank_experiment(n, seed, iters=200)
+    for seed in seeds:
+        for n, (traj, eta, c1) in zip(sizes, run_lowrank_study(sizes, seed, iters=200)):
             final_misfit[n].append(traj.norm_misfit[-1])
             final_dist[n].append(traj.norm_dist[-1])
             monotone &= bool(np.all(

@@ -1,3 +1,5 @@
+import io
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from overparam.cli import (
     net_step_size,
 )
 from overparam.config import parse_config_text
-from overparam.descent import Trajectory
+from overparam.descent import OptimConfig, Trajectory, run_gd
 from overparam.geometry import CertificationError, probe_spectrum
 from overparam.models import (
     GLMModel,
@@ -25,6 +27,7 @@ from overparam.models import (
     identity_activation,
     tanh_linear,
 )
+from overparam.oracle import lowrank_init
 
 IDENTITY_LINEAR = """\
 model.family = linear
@@ -408,7 +411,7 @@ def test_unmakeable_out_refused_before_any_work(tmp_path, monkeypatch, capsys, c
     def no_instance(*args):
         raise AssertionError("instance built before the output directory was checked")
 
-    for owner, name in ((cli, "build_model"), (cli, "lowrank_instance"),
+    for owner, name in ((cli, "build_model"), (cli, "lowrank_instances"),
                         (cli.bnd, "make_lower_bound_instance")):
         monkeypatch.setattr(owner, name, no_instance)
     cfg = write(tmp_path, "sgd.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
@@ -422,19 +425,19 @@ def test_unmakeable_out_refused_before_any_work(tmp_path, monkeypatch, capsys, c
 
 
 def test_a_command_that_raises_after_its_checks_writes_nothing(tmp_path, monkeypatch, capsys):
-    tune, sizes = cli.auto_tune_lowrank_eta, []
+    tune = cli.auto_tune_lowrank_eta
 
-    def fail_at_the_second_size(model, theta0):
-        sizes.append(model.n)
-        if len(sizes) == 2:
-            raise CertificationError("deliberate fault")
+    def fail_at_two_sizes(model, theta0):
+        if model.n in (50, 200):
+            raise CertificationError(f"deliberate fault at n={model.n}")
         return tune(model, theta0)
 
-    monkeypatch.setattr(cli, "auto_tune_lowrank_eta", fail_at_the_second_size)
+    monkeypatch.setattr(cli, "auto_tune_lowrank_eta", fail_at_two_sizes)
     out = tmp_path / "out"
     code = main(["experiment-lowrank", "--n", "all", "--iters", "5", "--out", str(out)])
-    assert (code, sizes) == (EXIT_VIOLATION, [25, 50])
-    assert capsys.readouterr() == ("", "certification failure: deliberate fault\n")
+    assert code == EXIT_VIOLATION
+    # The sizes run two at a time in no fixed order; the smallest failing size reports.
+    assert capsys.readouterr() == ("", "certification failure: deliberate fault at n=50\n")
     assert not out.exists()
 
 
@@ -525,11 +528,68 @@ def test_lower_bound_command_rejects_bad_order(tmp_path):
 
 
 def test_lowrank_instance_rademacher_norm():
-    from overparam.cli import lowrank_instance
-
-    model, theta0 = lowrank_instance(100, seed=0)
+    (model, theta0), = cli.lowrank_instances([100], seed=0)
     assert float(np.linalg.norm(model.y)) == 10.0
     assert set(np.unique(model.y)) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("d, r", [(1, 1), (3, 2), (6, 4)])
+def test_lowrank_instances_draw_each_size_as_its_own_generator_would(seed, d, r):
+    sizes = [9, 1, 4, 4, 2]
+    got = cli.lowrank_instances(sizes, seed, d, r)
+    assert len(got) == len(sizes)
+    for n, (model, theta0) in zip(sizes, got):
+        rng = np.random.default_rng(seed)
+        Xs = rng.standard_normal((n, d, d))
+        y = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        assert (model.n, model.d, model.r) == (n, d, r)
+        assert np.array_equal(model.Xs, Xs) and np.array_equal(model.y, y)
+        assert np.array_equal(theta0, lowrank_init(d, r, n, float(np.linalg.norm(y)), seed=seed))
+        assert np.shares_memory(model.Xs, got[0][0].Xs)  # prefixes of the one draw
+
+
+def _one_size_at_a_time(n, seed, iters):
+    (model, theta0), = cli.lowrank_instances([n], seed)
+    eta, c1 = cli.auto_tune_lowrank_eta(model, theta0)
+    return run_gd(model, theta0, OptimConfig(eta=eta, max_iters=iters)), eta, c1
+
+
+def _csv(traj):
+    stream = io.StringIO()
+    traj.to_csv(stream)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("sizes", [[25], [5, 3], [2, 7, 5, 11]])
+def test_lowrank_study_matches_one_size_at_a_time(sizes):
+    study = cli.run_lowrank_study(sizes, seed=3, iters=5)
+    assert len(study) == len(sizes)
+    for n, (traj, eta, c1) in zip(sizes, study):
+        alone, alone_eta, alone_c1 = _one_size_at_a_time(n, 3, 5)
+        assert (eta, c1) == (alone_eta, alone_c1)
+        assert _csv(traj) == _csv(alone)
+        assert np.array_equal(traj.theta_final, alone.theta_final)
+
+
+def test_lowrank_study_leaves_no_thread_alive(monkeypatch):
+    before, tune = set(threading.enumerate()), cli.auto_tune_lowrank_eta
+    threads, failing = set(), None
+
+    def tune_and_record(model, theta0):
+        threads.add(threading.get_ident())
+        if model.n == failing:
+            raise CertificationError(f"deliberate fault at n={model.n}")
+        return tune(model, theta0)
+
+    monkeypatch.setattr(cli, "auto_tune_lowrank_eta", tune_and_record)
+    assert len(cli.run_lowrank_study([3, 5, 2], seed=0, iters=2)) == 3
+    assert set(threading.enumerate()) == before
+    failing = 2
+    with pytest.raises(CertificationError, match="at n=2$"):
+        cli.run_lowrank_study([3, 5, 2], seed=0, iters=2)
+    assert set(threading.enumerate()) == before
+    assert len(threads - {threading.get_ident()}) <= 1  # the caller and one other thread
 
 
 def test_experiment_lowrank_command(tmp_path):
@@ -574,7 +634,7 @@ def test_flag_refusals_come_before_any_work(tmp_path, monkeypatch, capsys, argv,
         raise AssertionError("instance built before the flags were checked")
 
     monkeypatch.setattr(cli.bnd, "make_lower_bound_instance", no_instance)
-    monkeypatch.setattr(cli, "lowrank_instance", no_instance)
+    monkeypatch.setattr(cli, "lowrank_instances", no_instance)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"

@@ -608,7 +608,7 @@ def test_lowrank_probe_evaluates_few_pairs(monkeypatch):
     # X = ones((n, 1)) here, so the Schur bound prunes none of the 2,080 pairs; the
     # threshold tests leave one pair to evaluate densely. The 66 brackets are the 65
     # points' and K's.
-    model, theta0 = cli.lowrank_instance(50, 0, d=100, r=4)
+    model, theta0 = cli.lowrank_instances([50], 0, d=100, r=4)[0]
     brackets = count_calls(monkeypatch, geometry, "gram_brackets")
     solves = count_calls(monkeypatch, geometry, "spectral_norm")
     tests = count_calls(monkeypatch, np.linalg, "cholesky")
@@ -639,7 +639,7 @@ def test_linear_probe_and_verify_evaluate_one_shared_jacobian(monkeypatch):
 def test_lowrank_probe_builds_no_jacobian_through_the_model(monkeypatch):
     # The low-rank factor is the dense Jacobian itself, so the probe evaluates
     # every point and pair from its one stack and never calls model.jacobian.
-    model, theta0 = cli.lowrank_instance(20, 3, d=30, r=3)
+    model, theta0 = cli.lowrank_instances([20], 3, d=30, r=3)[0]
     points = probe_points(theta0, 1.0, 32, 5)
     m = len(points)
     jacobians = [model.jacobian(pt) for pt in points]
