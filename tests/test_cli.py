@@ -585,11 +585,11 @@ def test_lowrank_study_leaves_no_thread_alive(monkeypatch):
     monkeypatch.setattr(cli, "auto_tune_lowrank_eta", tune_and_record)
     assert len(cli.run_lowrank_study([3, 5, 2], seed=0, iters=2)) == 3
     assert set(threading.enumerate()) == before
+    assert len(threads - {threading.get_ident()}) <= 1  # the caller and one other thread
     failing = 2
     with pytest.raises(CertificationError, match="at n=2$"):
         cli.run_lowrank_study([3, 5, 2], seed=0, iters=2)
     assert set(threading.enumerate()) == before
-    assert len(threads - {threading.get_ident()}) <= 1  # the caller and one other thread
 
 
 def test_experiment_lowrank_command(tmp_path):
