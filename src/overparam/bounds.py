@@ -14,7 +14,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .descent import Trajectory
+from .descent import _BLOCK_ROWS, Trajectory
 from .geometry import SpectrumBounds, TheoryPlan
 from .models import Activation, GLMModel, LinearModel, Model
 from .oracle import pseudo_inverse_solution
@@ -144,9 +144,9 @@ def check_gd_theorem(
         )
 
     if theta_star is not None:
-        if traj.thetas is None:
-            raise ValueError("trajectory was not recorded with record_thetas=True")
-        d_star = float(np.linalg.norm(np.asarray(theta_star) - traj.thetas[0]))
+        if traj.theta0 is None:
+            raise ValueError("trajectory carries no theta0 (it was read from CSV)")
+        d_star = float(np.linalg.norm(np.asarray(theta_star) - traj.theta0))
         ratio_bound = bounds.beta / plan.zeta * d_star
         report.add(
             "closest_optimum_distance_ratio", "gd",
@@ -338,6 +338,46 @@ def closest_optimum_glm(model: GLMModel, theta0: Array) -> Array:
     return theta_star
 
 
+class GLMTheoremTerms:
+    """``check_glm_theorem``'s per-row terms as running maxima, fed the rows in order,
+    at most _BLOCK_ROWS at a time: an observer for ``run_gd``, which then keeps no
+    thetas. The null-space projection, a matrix product, gives a row other bits when
+    it takes under 13 rows (one OpenBLAS thread), so it takes the last _BLOCK_ROWS rows
+    seen: a short last block with rows of the one before, repeated in the maximum."""
+
+    def __init__(self, model: GLMModel, theta_star: Array, eta: float):
+        X, act, self.theta_star = model.X, model.act, np.asarray(theta_star, dtype=float)
+        sv = np.linalg.svd(X, compute_uv=False)
+        lam_min, lam_max = float(sv[-1] ** 2), float(sv[0] ** 2)
+        self.rate = 1.0 - eta * act.gamma**2 * lam_min
+        self.spread = (act.big_gamma**2 / act.gamma**2) * (lam_max / lam_min)
+        self.Xt, self.projector = X.T, np.linalg.solve(X @ X.T, X)
+        self.window, self.theta0, self.d0 = np.empty((0, X.shape[1])), None, None
+        self.excess = self.drift = -np.inf
+
+    def __call__(self, iters: Array, thetas: Array, *_) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged row fails, silently
+            dists = np.linalg.norm(thetas - self.theta_star, axis=1)
+            if self.theta0 is None:
+                self.theta0, self.d0 = thetas[0].copy(), float(dists[0])
+            self.excess = np.maximum(self.excess, np.max(dists - self.rate ** iters * self.d0))
+            self.window = np.concatenate([self.window, thetas])[-_BLOCK_ROWS:]
+            drift = self.window - self.theta0
+            drift -= (drift @ self.Xt) @ self.projector
+            self.drift = np.maximum(self.drift, np.max(np.linalg.norm(drift, axis=1)))
+
+    def report(self, traj: Trajectory) -> BoundReport:
+        report, path_bound = BoundReport(), self.spread * self.d0
+        with np.errstate(over="ignore", invalid="ignore"):
+            report.add("distance_to_optimum_envelope", "glm", float(self.excess),
+                       INEQUALITY_RTOL * (1.0 + self.d0), note=f"rate {self.rate:.12g}")
+            report.add("glm_path_length_bound", "glm", float(traj.path_len[-1] - path_bound),
+                       INEQUALITY_RTOL * (1.0 + path_bound))
+            report.add("null_space_component_drift", "glm", float(self.drift),
+                       1e-10 * (1.0 + float(np.linalg.norm(self.theta0))))
+        return report
+
+
 def check_glm_theorem(traj: Trajectory, model: GLMModel,
                       theta_star: Array) -> BoundReport:
     """Distance-to-optimum contraction and path-length cap for a GLM run.
@@ -345,44 +385,15 @@ def check_glm_theorem(traj: Trajectory, model: GLMModel,
     Needs the trajectory recorded with parameter vectors. The contraction
     factor is 1 - eta * gamma^2 * lambda_min(X X^T); the path cap is
     (Gamma/gamma)^2 * cond(X X^T) * ||theta0 - theta*||. The null-space
-    component of the iterates must not move.
+    component of the iterates must not move. The rows go through
+    ``GLMTheoremTerms`` in the recorder's blocks, as in a run it observes.
     """
     if traj.thetas is None:
         raise ValueError("check_glm_theorem needs record_thetas=True")
-    theta_star = np.asarray(theta_star, dtype=float)
-    X = model.X
-    gamma, big_gamma = model.act.gamma, model.act.big_gamma
-    sv = np.linalg.svd(X, compute_uv=False)
-    lam_min, lam_max = float(sv[-1] ** 2), float(sv[0] ** 2)
-
-    report = BoundReport()
-    # A divergent run records inf/nan iterates; they show as failing rows,
-    # not as overflow warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dists = np.linalg.norm(traj.thetas - theta_star[None, :], axis=1)
-        d0 = float(dists[0])
-        rate = 1.0 - traj.eta * gamma**2 * lam_min
-        envelope = rate ** traj.iters.astype(float) * d0
-        report.add(
-            "distance_to_optimum_envelope", "glm",
-            float(np.max(dists - envelope)), INEQUALITY_RTOL * (1.0 + d0),
-            note=f"rate {rate:.12g}",
-        )
-
-        path_bound = (big_gamma**2 / gamma**2) * (lam_max / lam_min) * d0
-        report.add(
-            "glm_path_length_bound", "glm",
-            float(traj.path_len[-1] - path_bound), INEQUALITY_RTOL * (1.0 + path_bound),
-        )
-
-        null_drift = traj.thetas - traj.thetas[0][None, :]
-        null_drift = null_drift - (null_drift @ X.T) @ np.linalg.solve(X @ X.T, X)
-        report.add(
-            "null_space_component_drift", "glm",
-            float(np.max(np.linalg.norm(null_drift, axis=1))),
-            1e-10 * (1.0 + float(np.linalg.norm(traj.thetas[0]))),
-        )
-    return report
+    terms = GLMTheoremTerms(model, theta_star, traj.eta)
+    for first in range(0, len(traj), _BLOCK_ROWS):
+        terms(traj.iters[first:first + _BLOCK_ROWS], traj.thetas[first:first + _BLOCK_ROWS])
+    return terms.report(traj)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .geometry import (
     SpectrumBounds,
     _dense_slack,
     _require_alpha,
+    check_pair_budget,
     check_probeable,
     gd_plan,
     probe_spectrum,
@@ -59,9 +60,9 @@ from .models import (
 from .oracle import CapacityError, lowrank_init
 from .potentials import (
     AnchorSet,
+    DriftStream,
     PackingInfeasibleError,
     build_packing,
-    conditional_drifts,
     default_anchor_count,
     in_working_ball,
     neighborhood_monitor,
@@ -366,23 +367,24 @@ def cmd_run(args) -> int:
             f"plan: radius_R={plan.radius_R:.10g} eta={plan.eta:.10g} "
             f"rate={plan.rate:.10g} zeta={plan.zeta:.10g} regime={plan.regime}"
         )
-        record_thetas = isinstance(model, GLMModel)
-        run_cfg = OptimConfig(
-            eta=eta, max_iters=cfg.iters, tol_misfit=tol, record_every=cfg.record_every,
-            record_thetas=record_thetas, potential_zeta=plan.zeta,
-        )
-        traj = run_gd(model, theta0, run_cfg)
-        theta_star = None
-        if record_thetas:
+        theta_star = glm_terms = None
+        if isinstance(model, GLMModel):
             try:
                 theta_star = bnd.closest_optimum_glm(model, theta0)
             except ValueError as exc:
                 summary.append(f"closest-optimum oracle unavailable: {exc}")
+            else:
+                glm_terms = bnd.GLMTheoremTerms(model, theta_star, eta)
+        run_cfg = OptimConfig(
+            eta=eta, max_iters=cfg.iters, tol_misfit=tol, record_every=cfg.record_every,
+            potential_zeta=plan.zeta,
+        )
+        traj = run_gd(model, theta0, run_cfg, observers=[glm_terms] if glm_terms else ())
         report.extend(bnd.check_gd_theorem(traj, plan, bounds, theta_star=theta_star,
                                            include_potential=certified))
         report.extend(bnd.check_lower_bound(traj, bounds.beta))
-        if theta_star is not None:
-            report.extend(bnd.check_glm_theorem(traj, model, theta_star))
+        if glm_terms is not None:
+            report.extend(glm_terms.report(traj))
     elif opt == "sgd":
         plan = sgd_plan(bounds, misfit0, nu=cfg.nu, regime=cfg.regime, eta=eta)
         if eta > plan.eta:
@@ -441,10 +443,11 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_with_overrides(args, reads_nu=True)
     out = _out_dir(args, cfg)
+    samples = max(8, cfg.probe_samples // 2)
+    check_pair_budget(samples + 1)  # verify_assumptions' own refusal, before the probe draws
     model, theta0, misfit0, bounds = prepare(cfg)
     assumptions = verify_assumptions(
-        model, bounds, lam=cfg.lam,
-        samples=max(8, cfg.probe_samples // 2),
+        model, bounds, lam=cfg.lam, samples=samples,
         seed=cfg.data_seed + _PROBE_SEED_OFFSET + 1,
     )
     lines = [assumptions.to_text(), ""]
@@ -551,14 +554,16 @@ def cmd_sgd_martingale(args) -> int:
     model, theta0, misfit0, bounds = prepare(cfg)
     plan = sgd_plan(bounds, misfit0, nu=cfg.nu, regime=cfg.regime, eta=cfg.eta)
     anchors = anchor_packing(cfg, model, theta0, misfit0, bounds)
-    run_cfg = OptimConfig(
-        eta=plan.eta, max_iters=cfg.iters, seed=cfg.opt_seed, record_thetas=True,
-    )
-    traj = run_sgd(model, theta0, run_cfg)
 
-    inside = np.flatnonzero(in_working_ball(traj.dist_init, traj.misfit, plan.nu / 2.0,
-                                            misfit0, bounds.alpha))
-    drifts = conditional_drifts(model, traj.thetas, plan.eta, anchors, bounds.alpha, inside)
+    def half_ball(dist: Array, misfit: Array) -> Array:
+        return in_working_ball(dist, misfit, plan.nu / 2.0, misfit0, bounds.alpha)
+
+    # The drifts at the states inside the half ball, taken as the run records them.
+    stream = DriftStream(model, plan.eta, anchors, bounds.alpha)
+    run_cfg = OptimConfig(eta=plan.eta, max_iters=cfg.iters, seed=cfg.opt_seed)
+    traj = run_sgd(model, theta0, run_cfg, observers=[
+        lambda iters, thetas, misfits, dists: stream.add(thetas[half_ball(dists, misfits)])])
+    inside, drifts = np.flatnonzero(half_ball(traj.dist_init, traj.misfit)), stream.drifts()
     iters = traj.iters.tolist()
     rows = ["iter,in_half_ball,drift_misfit,drift_dist,drift_potential\n",
             *("%d,0,,,\n" % it for it in iters)]

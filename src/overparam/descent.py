@@ -15,9 +15,10 @@ on a kept z = X theta with no forward pass: only a scalar recurrence runs a
 step at a time, the block's thetas, residuals and norms come as arrays, and
 z is taken exactly, checking theta, once a block. Recorded rows are kept in
 numpy blocks, whose distances to theta0 and potentials are evaluated a
-block at a time with each row's own bits. A single run is strictly
-sequential; independent runs may execute concurrently and finished
-trajectories are immutable.
+block at a time with each row's own bits; observers see each block with its
+thetas, so a check can run with the descent and keep no theta history. A
+single run is strictly sequential; independent runs may execute concurrently
+and finished trajectories are immutable.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class OptimConfig:
 
     tol_misfit stops a run once ||f(theta) - y|| falls to the tolerance;
     record_every thins trajectory storage (potential checks over recorded
-    rows are then stride-dependent). potential_zeta weights the path-length
-    term of the recorded descent potential.
+    rows are then stride-dependent). record_thetas keeps every recorded theta
+    (rows x p floats) for library callers; the CLI's checks observe the run's
+    blocks instead. potential_zeta weights the path-length term of the
+    recorded descent potential.
     """
 
     eta: float
@@ -96,7 +99,8 @@ class Trajectory:
 
     Columnar arrays share an index; ``thetas`` (one row per recorded
     iteration) is populated only when the run was configured with
-    record_thetas and is not part of the CSV schema.
+    record_thetas and is not part of the CSV schema, nor is ``theta0``, the
+    start, which every run keeps (None in a trajectory read from CSV).
     """
 
     iters: Array
@@ -118,6 +122,7 @@ class Trajectory:
     norm_dist_is_raw: bool = False
     abort_iter: int | None = None
     thetas: Array | None = field(default=None, repr=False)
+    theta0: Array | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.iters)
@@ -213,11 +218,12 @@ def _column_fields(columns: Iterable) -> dict[str, Array]:
 
 class _Rows:
     """A run's recorded rows: scalars and theta go into a block of _BLOCK_ROWS rows,
-    whose dist_init and potential columns are evaluated when it fills and at the end."""
+    whose dist_init and potential columns are evaluated when it fills and at the end;
+    then observe(iters, thetas, misfits, dist_init) of each observer (thetas is reused)."""
 
-    def __init__(self, start: Array, potential, anchored, keep_thetas: bool):
+    def __init__(self, start: Array, potential, anchored, keep_thetas: bool, observers=()):
         self.start, self.potential, self.anchored = start, potential, anchored
-        self.keep_thetas = keep_thetas
+        self.keep_thetas, self.observers = keep_thetas, observers
         self.scalars = np.empty((5, _BLOCK_ROWS))  # iter, loss, misfit, path_len, step_norm
         self.thetas = np.empty((_BLOCK_ROWS, start.size))
         self.count = 0
@@ -247,6 +253,8 @@ class _Rows:
             else self.anchored(D, sq, misfit)
         self.blocks.append(np.stack([iters, loss, misfit, dist, path_len, step_norm,
                                      self.potential(dist, misfit, path_len), sgd]))
+        for observe in self.observers:
+            observe(iters, thetas, misfit, dist)
         if self.keep_thetas:
             self.theta_blocks.append(thetas)
             self.thetas = np.empty_like(self.thetas)
@@ -266,6 +274,7 @@ def _descend(
     step: Callable[[Array, object, int], tuple | None],
     potential: Callable[[Array, Array, Array], Array],
     anchored: Callable[[Array, Array, Array], Array] | None = None,
+    observers: Iterable[Callable] = (),
 ) -> Trajectory:
     """The loop of every run: theta advances by a block of steps at a time.
 
@@ -287,13 +296,13 @@ def _descend(
     its gd_potential column from potential(dist_init, misfit, path_len) and
     its sgd_potential from anchored(theta - theta0, ||theta - theta0||^2,
     misfit), each taking the block's columns (and (rows, p) offsets) and
-    giving every row its own bits.
+    giving every row its own bits; then each of observers sees the block (``_Rows``).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.array(theta0, dtype=float)
         loss, misfit, state = measure(start)
         misfit0 = misfit
-        rows = _Rows(start, potential, anchored, cfg.record_thetas)
+        rows = _Rows(start, potential, anchored, cfg.record_thetas, tuple(observers))
         # The latest row's iter, loss, misfit, path_len and step_norm, and its theta.
         last, theta, tau = np.array([[0], [loss], [misfit], [0.0], [0.0]]), start, 0
         rows.add(last, start[None])
@@ -335,6 +344,7 @@ def _descend(
             norm_dist_is_raw=theta0_norm == 0.0,
             abort_iter=tau if termination == "non_finite" else None,
             thetas=thetas,
+            theta0=start,
         )
 
 
@@ -372,18 +382,18 @@ def _misfit_potential(cfg: OptimConfig) -> Callable[[Array, Array, Array], Array
     return lambda dist, misfit, path_len: misfit + cfg.potential_zeta * path_len
 
 
-def run_gd(model: Model, theta0: Array, cfg: OptimConfig) -> Trajectory:
+def run_gd(model: Model, theta0: Array, cfg: OptimConfig, observers=()) -> Trajectory:
     """Full-batch descent theta <- theta - eta * J^T r, deterministically.
 
     r is the residual already measured at theta, handed to ``model.gradient``
     so it is not computed again. Stops at the misfit tolerance, at max_iters,
     at an exactly-zero gradient ("stationary"), or when the loss turns
     non-finite ("non_finite", with the offending iteration recorded as
-    abort_iter).
+    abort_iter). Each of observers sees every block of recorded rows (``_Rows``).
     """
     measure = partial(_measure_residual, model)
     return _descend(theta0, cfg, measure, _gradient_step(measure, model.gradient, cfg.eta),
-                    potential=_misfit_potential(cfg))
+                    potential=_misfit_potential(cfg), observers=observers)
 
 
 def sgd_index_stream(seed: int, n: int, length: int) -> Array:
@@ -453,6 +463,7 @@ def run_sgd(
     cfg: OptimConfig,
     anchors=None,
     alpha: float | None = None,
+    observers=(),
 ) -> Trajectory:
     """Single-sample stochastic descent with a seeded, replayable index stream.
 
@@ -474,7 +485,7 @@ def run_sgd(
     distance l is within min(sqrt(delta_l), delta_l / ||theta - p_l||): a
     relative rounding error away from the anchor, sqrt(delta_l) at worst,
     where theta lands on it. Identical seeds reproduce the trajectory bit
-    for bit.
+    for bit. observers see the recorded rows as in ``run_gd``.
     """
     if cfg.seed is None:
         raise ValueError("SGD requires cfg.seed")
@@ -501,7 +512,7 @@ def run_sgd(
             return 12.0 * misfits + (alpha / anchors.K) * dists
 
     return _descend(theta0, cfg, measure, step, potential=_misfit_potential(cfg),
-                    anchored=anchored_potential)
+                    anchored=anchored_potential, observers=observers)
 
 
 @dataclass(frozen=True)

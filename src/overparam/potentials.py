@@ -282,24 +282,46 @@ def conditional_drifts(
     `oracle.enumerate_sgd_expectation` is the one-successor-at-a-time
     reference.
     """
-    if model.n > ENUMERATION_CAP:
-        raise CapacityError(f"n={model.n} exceeds enumeration cap {ENUMERATION_CAP}")
     states = np.arange(len(thetas)) if states is None else np.asarray(states, dtype=int)
-    out = np.empty((len(states), 3))
-    if isinstance(model, GLMModel):
-        X = model.X
-        gram = X @ X.T
-        table = X @ (anchors.anchors - anchors.center).T
-        per_state = model.n * max(model.n, anchors.K) + anchors.K * model.p
-        rows = max(1, _DRIFT_ENTRY_CAP // per_state)
-        for first in range(0, len(states), rows):
-            block = thetas[states[first:first + rows]]
-            out[first:first + rows, :2] = _glm_drifts(model, block, eta, anchors, gram, table)
-    else:
-        for k, state in enumerate(states):
-            out[k, :2] = _jacobian_drift(model, thetas[state], eta, anchors)
-    out[:, 2] = MISFIT_WEIGHT * out[:, 0] + alpha * out[:, 1]
-    return out
+    drifts = DriftStream(model, eta, anchors, alpha)
+    for first in range(0, len(states), drifts.chunk):
+        drifts.add(thetas[states[first:first + drifts.chunk]])
+    return drifts.drifts()
+
+
+class DriftStream:
+    """``conditional_drifts`` at states added a block at a time, in order, none kept
+    once evaluated. A GLM's states are evaluated in the chunks of one call, however
+    they arrive, so every drift has that call's bits; ``drifts`` returns them."""
+
+    def __init__(self, model: Model, eta: float, anchors: AnchorSet, alpha: float):
+        if model.n > ENUMERATION_CAP:
+            raise CapacityError(f"n={model.n} exceeds enumeration cap {ENUMERATION_CAP}")
+        self.model, self.eta, self.anchors, self.alpha = model, eta, anchors, alpha
+        self.pending, self.done, self.chunk = np.empty((0, model.p)), [], 1
+        if isinstance(model, GLMModel):
+            X = model.X
+            self.gram, self.table = X @ X.T, X @ (anchors.anchors - anchors.center).T
+            per_state = model.n * max(model.n, anchors.K) + anchors.K * model.p
+            self.chunk = max(1, _DRIFT_ENTRY_CAP // per_state)
+
+    def add(self, thetas: Array, last: bool = False) -> None:
+        """Evaluate the full chunks of the pending states and thetas; all when last."""
+        thetas = np.concatenate([self.pending, thetas]) if len(self.pending) else thetas
+        end = len(thetas) if last else len(thetas) - len(thetas) % self.chunk
+        for first in range(0, end, self.chunk):
+            block = thetas[first:first + self.chunk]
+            pairs = _glm_drifts(self.model, block, self.eta, self.anchors, self.gram, self.table) \
+                if isinstance(self.model, GLMModel) \
+                else np.array([_jacobian_drift(self.model, block[0], self.eta, self.anchors)])
+            self.done.append(np.column_stack(
+                [pairs, MISFIT_WEIGHT * pairs[:, 0] + self.alpha * pairs[:, 1]]))
+        self.pending = np.array(thetas[end:])
+
+    def drifts(self) -> Array:
+        """The (m, 3) drifts of every state added."""
+        self.add(self.pending[:0], last=True)
+        return np.concatenate([np.empty((0, 3)), *self.done])
 
 
 def _glm_drifts(model: GLMModel, thetas: Array, eta: float, anchors: AnchorSet,

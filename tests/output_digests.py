@@ -119,11 +119,23 @@ def _matrix() -> list[tuple[str, str, list[str]]]:
     for command in ("run", "verify"):
         out.append((f"{command}_glm0_radius1e160", command,
                     [command, "--config", "glm0.cfg", "diag.probe_radius=1e160"]))
+    # Exit 1: an SGD plan whose step-size cap rounds to 0 (beta^2 B^2 overflows).
+    out.append(("run_lowrank0_sgd_radius1e120", "run",
+                ["run", "--config", "lowrank0.cfg", "optimizer.kind=sgd",
+                 "diag.probe_radius=1e120"]))
+    out.append(("martingale_lowrank0_radius1e120", "sgd-martingale",
+                ["sgd-martingale", "--config", "lowrank0.cfg", "optimizer.kind=sgd",
+                 "diag.probe_radius=1e120"]))
     # Exit 2: a parameter error and a config error.
     out.append(("run_net_rate_one", "run", ["run", "--config", "net_rate_one.cfg"]))
     out.append(("run_unknown_key", "run", ["run", "--config", "unknown_key.cfg"]))
     # Exit 3: a capacity error, and an io error for every command.
     out.append(("run_too_big", "run", ["run", "--config", "too_big.cfg"]))
+    # Exit 3: probe pairs above the budget, the probe's chain and verify's all pairs.
+    out.append(("run_glm0_probe_samples1e15", "run",
+                ["run", "--config", "glm0.cfg", "diag.probe_samples=1000000000000000"]))
+    out.append(("verify_glm0_probe_samples1024", "verify",
+                ["verify", "--config", "glm0.cfg", "diag.probe_samples=1024"]))
     out.append(("run_io_error", "run", ["run", "--config", "glm0.cfg", "optimizer.iters=5"]))
     out.append(("verify_io_error", "verify", ["verify", "--config", "glm0.cfg"]))
     out.append(("martingale_io_error", "sgd-martingale",

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from overparam.bounds import (
     BoundReport,
+    GLMTheoremTerms,
     check_gd_theorem,
     check_glm_theorem,
     check_lower_bound,
@@ -354,6 +356,63 @@ def test_glm_theorem_on_nonlinear_run():
     assert report.all_passed, report.to_text()
     # convergence to the closest optimum specifically
     assert np.linalg.norm(traj.theta_final - star) <= 1e-6 * np.linalg.norm(theta0 - star)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), act=st.sampled_from(["identity", "tanh", "softplus"]),
+       n=st.integers(2, 8), extra=st.integers(1, 25), blocks=st.integers(0, 3),
+       tail=st.integers(1, 12), record_every=st.sampled_from([1, 2, 5]))
+def test_streamed_glm_terms_match_check_glm_theorem_bitwise(seed, act, n, extra, blocks,
+                                                            tail, record_every):
+    rng = np.random.default_rng(seed)
+    act = {"identity": identity_activation(), "tanh": tanh_linear(0.3),
+           "softplus": softplus_linear(0.5)}[act]
+    model = GLMModel(rng.standard_normal((n, n + extra)), rng.standard_normal(n), act)
+    theta0 = rng.standard_normal(n + extra) / np.sqrt(n + extra)
+    # A small step, so that no run reaches an exactly zero misfit before its last row.
+    eta = 0.05 / (act.big_gamma**2 * np.linalg.norm(model.X, 2) ** 2)
+    rows = 64 * blocks + tail  # the recorder's last block holds `tail` rows
+    assume(rows > 1)
+    cfg = OptimConfig(eta=eta, max_iters=(rows - 1) * record_every, record_every=record_every)
+    star = closest_optimum_glm(model, theta0)
+    terms = GLMTheoremTerms(model, star, eta)
+    streamed = run_gd(model, theta0, cfg, observers=[terms])
+    recorded = run_gd(model, theta0, replace(cfg, record_thetas=True))
+    assert streamed.thetas is None and len(recorded) == rows
+    want = check_glm_theorem(recorded, model, star).rows
+    got = terms.report(streamed).rows
+    assert [(r.name, r.note, r.passed) for r in got] == [(r.name, r.note, r.passed) for r in want]
+    assert _bits([r.max_violation for r in got]) == _bits([r.max_violation for r in want])
+    assert _bits([r.tolerance for r in got]) == _bits([r.tolerance for r in want])
+    # The last projection took the last 64 rows, not the short last block alone: with
+    # one OpenBLAS thread a product of under 13 rows gives its rows other bits.
+    assert np.array_equal(terms.window, recorded.thetas[-64:])
+
+
+@pytest.mark.parametrize("rows, planted", [(40, 0), (40, 39), (193, 1), (193, 63), (193, 64),
+                                           (193, 128), (193, 191), (193, 192)])
+def test_glm_null_space_drift_reaches_every_recorded_row(rows, planted):
+    # One recorded theta moved along the null space of X: the drift's maximum must
+    # see it, in a full block, a short one-row last block, or a run of one block.
+    rng = np.random.default_rng(3)
+    model = GLMModel(rng.standard_normal((5, 12)), rng.standard_normal(5), tanh_linear(0.3))
+    theta0 = 0.3 * rng.standard_normal(12)
+    eta = 0.05 / np.linalg.norm(model.X, 2) ** 2
+    traj = run_gd(model, theta0, OptimConfig(eta=eta, max_iters=rows - 1, record_thetas=True))
+    assert len(traj) == rows
+    w = rng.standard_normal(12)
+    v = w - model.X.T @ np.linalg.solve(model.X @ model.X.T, model.X @ w)
+    thetas = traj.thetas.copy()
+    thetas[planted] += 1e-3 * v / np.linalg.norm(v)
+    star = closest_optimum_glm(model, theta0)
+    clean = check_glm_theorem(traj, model, star).rows[2]
+    moved = check_glm_theorem(replace(traj, thetas=thetas), model, star).rows[2]
+    assert clean.name == "null_space_component_drift" and clean.passed
+    assert moved.max_violation == pytest.approx(1e-3, rel=1e-9) and not moved.passed
 
 
 def test_glm_theorem_requires_thetas():

@@ -1,12 +1,13 @@
 import io
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from overparam import cli, potentials
+from overparam import cli, geometry, potentials
 from overparam.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
@@ -251,6 +252,68 @@ def test_probe_ball_whose_point_gaps_overflow_is_a_certification_failure(
         f"certification failure: probe point gaps overflow in the probe ball of radius "
         f"{float(radius):.10g}; cannot certify a plan\n"))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sgd-martingale"])
+def test_sgd_step_size_that_rounds_to_zero_is_a_certification_failure(tmp_path, capsys,
+                                                                       command):
+    # At this radius beta^2 B^2 overflows, so the SGD plan's cap alpha^2 / (nu beta^2 B^2)
+    # is 0: exit 1 naming the constants, not a parameter error about the step size.
+    cfg = write(tmp_path, "ball.cfg", "model.family = lowrank\nmodel.n = 5\nmodel.d = 6\n"
+                "model.r = 2\noptimizer.kind = sgd\ndiag.probe_radius = 1e120\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", cfg, "--quiet", "--out", str(out)])
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr() == ("", (
+        "certification failure: SGD step-size cap 0.0 is not positive and finite "
+        "(alpha=3.36605, beta=7.17553e+120, B=6.37033e+120, nu=8)\n"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, samples, points, pairs", [
+    ("run", 10**15, 10**15 + 1, 2 * 10**15 - 1),
+    ("sgd-martingale", 10**15, 10**15 + 1, 2 * 10**15 - 1),
+    ("verify", 1024, 513, 131_328),  # verify_assumptions' pairs, before the probe's chain
+])
+def test_probe_pairs_above_the_budget_refused_before_any_draw(tmp_path, monkeypatch, capsys,
+                                                             command, samples, points, pairs):
+    def no_draws(*args):
+        raise AssertionError("probe points drawn before the pair budget")
+
+    monkeypatch.setattr(geometry, "sample_ball", no_draws)
+    cfg = write(tmp_path, "glm.cfg", GLM_RUN.replace("kind = gd", "kind = sgd"))
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, f"diag.probe_samples={samples}", "--quiet",
+                 "--out", str(out)])
+    assert code == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        f"capacity error: diag.probe_samples gives {points} probe points, {pairs} pairs to "
+        "search, above the budget of 131072\n")
+    assert not out.exists()
+
+
+def test_glm_gd_run_holds_no_theta_history(tmp_path):
+    # The GLM checks see each block of recorded rows and keep only running maxima, so
+    # 18,000 more steps add no theta rows (3.2 kB each at p = 400). At stride 10 the
+    # trajectory's own columns (80 bytes a recorded row) stay below 0.2 MB.
+    cfg = write(tmp_path, "glm.cfg", "model.family = glm\nmodel.n = 20\nmodel.p = 400\n"
+                "optimizer.tol = 0\noptimizer.record_every = 10\ndiag.probe_samples = 8\n")
+    peaks = {}
+    for steps in (2, 2000, 20000):  # the first run takes the one-time allocations
+        out = tmp_path / f"out{steps}"
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", cfg, "--iters", str(steps), "--quiet",
+                         "--out", str(out)]) == EXIT_OK
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"termination: max_iters after {steps} iterations" in \
+            (out / "summary.txt").read_text()
+        assert "null_space_component_drift" in (out / "bounds.csv").read_text()
+    assert abs(peaks[20000] - peaks[2000]) < 1 << 20
 
 
 def zero_row_glm(cfg):

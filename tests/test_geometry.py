@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from overparam import cli, geometry
 from overparam.config import parse_config_text
 from overparam.geometry import (
+    PAIR_BUDGET,
     CertificationError,
     SpectrumBounds,
+    check_pair_budget,
     gd_plan,
     gram_brackets,
     probe_points,
@@ -748,6 +751,17 @@ def test_sgd_plan_eta_value():
     assert plan.eta == pytest.approx(1.0 / 64.0)
 
 
+@pytest.mark.parametrize("regime", ["bounded", "smooth"])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1e80), (1e-170, 1.0)])
+def test_sgd_plan_cap_that_rounds_to_zero_is_a_certification_failure(regime, alpha, beta):
+    # beta^2 B^2 overflows (as at a huge probe radius), or alpha^2 underflows: the cap
+    # alpha^2 / (nu beta^2 B^2) is 0, which no run can take.
+    message = (f"SGD step-size cap 0.0 is not positive and finite (alpha={alpha:.6g}, "
+               f"beta={beta:.6g}, B={beta:.6g}, nu=8)")
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        sgd_plan(make_bounds(alpha, beta, L=1.0), 1.0, nu=8.0, regime=regime, eta=1e-3)
+
+
 def test_sgd_plan_rate_monotone_in_n():
     rates = [
         sgd_plan(make_bounds(1.0, 2.0, B=2.0, n=n), 1.0, nu=4.0).rate
@@ -847,3 +861,35 @@ def test_verify_deviations_match_dense_pair_loop(family):
         assert rep.worst_pair is None
     else:
         assert all(np.array_equal(a, c) for a, c in zip(rep.worst_pair, worst))
+
+
+# ---------------------------------------------------------------------------
+# The probe pair budget
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points, max_pairs, pairs", [
+    (512, np.inf, 130_816), (513, np.inf, 131_328),  # all pairs, as verify takes
+    (91, 4096, 4095), (65_537, 4096, 131_071), (65_538, 4096, 131_073),  # the chain beyond
+])
+def test_pair_budget_counts_the_pairs_each_search_takes(points, max_pairs, pairs):
+    if pairs <= PAIR_BUDGET:
+        check_pair_budget(points, max_pairs)
+    else:
+        with pytest.raises(CapacityError, match=(
+                f"^diag.probe_samples gives {points} probe points, {pairs} pairs to search, "
+                f"above the budget of {PAIR_BUDGET}$")):
+            check_pair_budget(points, max_pairs)
+
+
+@pytest.mark.parametrize("search", ["probe_spectrum", "verify_assumptions"])
+def test_searches_above_the_pair_budget_refused_before_any_draw(monkeypatch, search):
+    def no_draws(*args):
+        raise AssertionError("probe points drawn before the pair budget")
+
+    model, theta = model_zoo(0)["glm"]
+    monkeypatch.setattr(geometry, "sample_ball", no_draws)
+    with pytest.raises(CapacityError, match="pairs to search, above the budget"):
+        if search == "probe_spectrum":  # 2 * 10**6 - 1 chain pairs
+            probe_spectrum(model, theta, 1.0, samples=10**6 - 1)
+        else:  # 513 points, 131,328 pairs
+            verify_assumptions(model, make_bounds(1.0, 2.0, p=model.p), samples=512)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from overparam.oracle import ENUMERATION_CAP, CapacityError, enumerate_sgd_expec
 from overparam.potentials import (
     MISFIT_WEIGHT,
     AnchorSet,
+    DriftStream,
     PackingInfeasibleError,
     anchor_distance,
     build_packing,
@@ -320,6 +322,34 @@ def test_blocked_drifts_match_enumeration_at_every_state_of_a_run(name, seed, bl
         single = exact_conditional_drift(model, state, eta, pack, alpha=0.7)
         assert [single.drift_misfit, single.drift_dist, single.drift_potential] == \
             pytest.approx(got, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["linear", "glm", "net"]), seed=st.integers(0, 10_000),
+       steps=st.integers(1, 200), chunk=st.integers(1, 9), period=st.integers(1, 4))
+def test_streamed_drifts_match_conditional_drifts_bitwise(name, seed, steps, chunk, period):
+    # The run's blocks of recorded rows straddle the chunks of `chunk` GLM states that
+    # conditional_drifts evaluates at once; every period-th row counts as inside.
+    model, theta = model_zoo(seed)[name]
+    pack = build_packing(theta, 1.0, 0.3, K=4, seed=seed)
+    eta = 0.25 / np.linalg.norm(model.jacobian(theta), 2) ** 2
+    cfg = OptimConfig(eta=eta, max_iters=steps, seed=seed)
+
+    def inside(iters):
+        return iters.astype(int) % period == 0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potentials, "_DRIFT_ENTRY_CAP",
+                      chunk * (model.n * max(model.n, pack.K) + pack.K * model.p))
+        stream = DriftStream(model, eta, pack, alpha=0.7)
+        streamed = run_sgd(model, theta, cfg, observers=[
+            lambda iters, thetas, *_: stream.add(thetas[inside(iters)])])
+        recorded = run_sgd(model, theta, replace(cfg, record_thetas=True))
+        want = conditional_drifts(model, recorded.thetas, eta, pack, alpha=0.7,
+                                  states=np.flatnonzero(inside(recorded.iters)))
+        got = stream.drifts()
+    assert streamed.thetas is None and len(streamed) == len(recorded)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_glm_drifts_read_the_states_a_block_at_a_time():
