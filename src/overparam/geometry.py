@@ -202,8 +202,9 @@ def _exact_max(upper: Array, evaluate: Callable[[int], float], best: float = 0.0
 
 
 def _factor_stack(model: Model, points: Array, radius: float) -> tuple[Array, ...]:
-    """(factors, X, K, same, traces): every point's F_i (``Model.factors``) stacked as
-    (m, n, k), X, K = X X^T, same[i] the first point with point i's factor bits, and
+    """(factors, X, K, traces): every point's F_i (``Model.factors``) stacked as (m, n, k),
+    or the center's alone, (1, n, k), when every point's factor bits equal it, as a
+    constant-factor family's do (linear, or the identity activation); X, K = X X^T and
     traces[i] = trace((F_i F_i^T) * K). Factors or traces that overflow, as a far enough
     probe ball's do, refuse the ball of `radius` (CertificationError) without a warning.
 
@@ -216,36 +217,34 @@ def _factor_stack(model: Model, points: Array, radius: float) -> tuple[Array, ..
         F, X = model.factors(points[0])
         factors = np.empty((len(points), *F.shape))
         factors[0] = F
+        center, constant = F.tobytes(), True
         for i in range(1, len(points)):
             factors[i] = model.factors(points[i])[0]
-        bits = factors.reshape(len(points), -1).view((np.void, factors[0].nbytes))[:, 0]
-        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+            constant = constant and factors[i].tobytes() == center
+        factors = factors[:1] if constant else factors
         K = X @ X.T
-        traces = np.array([np.add.reduce(factors[i] ** 2, axis=1) @ np.diag(K) for i in first])
+        traces = np.array([np.add.reduce(Fi ** 2, axis=1) @ np.diag(K) for Fi in factors])
     if not np.isfinite(traces).all():
         raise CertificationError(f"Jacobian Gram traces overflow in the probe ball of radius "
                                  f"{radius:.10g}; cannot certify a plan")
-    return factors, X, K, first[inverse], traces[inverse]
+    return factors, X, K, traces
 
 
-def _point_brackets(factors: Array, K: Array, same: Array, traces: Array,
-                    p: int) -> tuple[Array, ...]:
+def _point_brackets(factors: Array, K: Array, traces: Array, p: int) -> tuple[Array, ...]:
     """Brackets on each point's sigma_min, sigma_max and largest row norm
-    (``gram_brackets``), forming the Gram of each distinct factor once."""
+    (``gram_brackets``)."""
     lowers, uppers, rows = np.empty((3, len(factors)))
-    for i in set(same.tolist()):
-        G = (factors[i] @ factors[i].T) * K
-        lower, upper, row_upper = gram_brackets(G, traces[i], p)
+    for i, F in enumerate(factors):
+        lower, upper, row_upper = gram_brackets((F @ F.T) * K, traces[i], p)
         lowers[i], uppers[i], rows[i] = lower[0], upper[-1], row_upper.max()
-    return lowers[same], uppers[same], rows[same]
+    return lowers, uppers, rows
 
 
-def _pair_bounds(factors: Array, K: Array, same: Array, traces: Array,
-                 pairs: list[tuple[int, int]], p: int) -> Array:
+def _pair_bounds(factors: Array, K: Array, traces: Array, pairs: list[tuple[int, int]],
+                 p: int) -> Array:
     """Upper bounds on ``spectral_norm`` of J_i - J_j for each pair (i, j), from the
-    Gram factors by Schur's product theorem (``gram_brackets``); 0 where the factor
-    bits are equal."""
-    first, second = np.array(pairs).T
+    Gram factors by Schur's product theorem (``gram_brackets``)."""
+    first, second = np.array(pairs, dtype=int).reshape(len(pairs), 2).T
     block = max(1, 2**16 // factors[0].size)  # pairs in one difference stack (<= 0.5 MB)
     largest = np.empty(len(pairs))  # max_r ||F_ir - F_jr||
     for i in set(first.tolist()):
@@ -254,8 +253,7 @@ def _pair_bounds(factors: Array, K: Array, same: Array, traces: Array,
             D = factors[i] - factors[second[some]]
             largest[some] = np.sqrt(np.max(np.add.reduce(D * D, axis=2), axis=1))
     spread = gram_brackets(K, np.trace(K), p)[1][-1]
-    bounds = largest * spread + _dense_slack(K.shape[0], p, traces[first] + traces[second])
-    return np.where(same[first] == same[second], 0.0, bounds)
+    return largest * spread + _dense_slack(K.shape[0], p, traces[first] + traces[second])
 
 
 def _cholesky_below(G: Array, s: float) -> bool:
@@ -308,7 +306,7 @@ def _ratio_below(G: Array, scale: float, p: int, limit: float, over: float) -> b
 
 
 def _pair_search(points: Array, pairs: list[tuple[int, int]], radius: float, factors: Array,
-                 X: Array, K: Array, same: Array, traces: Array, p: int) -> Callable[..., tuple]:
+                 X: Array, K: Array, traces: Array, p: int) -> Callable[..., tuple]:
     """search(ratio, best=0.0): ``_exact_max`` of the ``spectral_norm`` of J_i - J_j over
     pairs[k] = (i, j), divided by over[k] = ||points[i] - points[j]|| when ratio
     (coincident points skipped), else by 1. Each pair is bounded (``_pair_bounds``),
@@ -316,7 +314,7 @@ def _pair_search(points: Array, pairs: list[tuple[int, int]], radius: float, fac
     evaluated densely; dense values are cached across searches. Gaps that overflow
     refuse the probe ball of `radius` (CertificationError) without a warning.
     """
-    bounds = _pair_bounds(factors, K, same, traces, pairs, p)
+    bounds = _pair_bounds(factors, K, traces, pairs, p)
     gaps = np.empty(len(pairs))  # each np.linalg.norm(points[i] - points[j]), bit for bit
     block = max(1, 2**13 // points.shape[1])  # pairs in one difference stack (<= 64 kB)
     with np.errstate(over="ignore"):
@@ -367,8 +365,9 @@ def probe_spectrum(
     ``_factor_stack``: alpha, beta and B by point brackets (``_point_brackets``),
     L by the pair search ``verify_assumptions`` uses too (``_pair_search``). A
     dense evaluation runs only where a bound can still set the extremum (and, for
-    a pair, the threshold test cannot rule it out), once per distinct factor or
-    pair, on Jacobians built from the stack and dropped.
+    a pair, the threshold test cannot rule it out), on Jacobians built from the
+    stack and dropped. A constant-factor family's stack is the center alone, so it
+    takes one evaluation and no pair: L = 0.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -381,36 +380,33 @@ def probe_spectrum(
     points = probe_points(center, radius, samples, seed)
     if trajectory_points is not None:
         points = np.vstack([points, trajectory_points])
-    m = len(points)
 
-    factors, X, K, same, traces = _factor_stack(model, points, radius)
-    lowers, uppers, rows = _point_brackets(factors, K, same, traces, model.p)
+    factors, X, K, traces = _factor_stack(model, points, radius)
+    lowers, uppers, rows = _point_brackets(factors, K, traces, model.p)
 
     @cache
     def svd(i: int) -> Array:
         return np.linalg.svd(kron_rows(factors[i], X), compute_uv=False)
 
-    @cache
-    def largest_row(i: int) -> float:
-        return float(np.max(np.linalg.norm(kron_rows(factors[i], X), axis=1)))
+    neg_alpha, _ = _exact_max(-lowers, lambda i: -float(svd(i)[-1]), -np.inf)
+    sigma_max, _ = _exact_max(uppers, lambda i: float(svd(i)[0]))
+    row_bound, _ = _exact_max(
+        rows, lambda i: float(np.max(np.linalg.norm(kron_rows(factors[i], X), axis=1))))
 
-    neg_alpha, _ = _exact_max(-lowers, lambda i: -float(svd(same[i])[-1]), -np.inf)
-    sigma_max, _ = _exact_max(uppers, lambda i: float(svd(same[i])[0]))
-    row_bound, _ = _exact_max(rows, lambda i: largest_row(same[i]))
-
+    m = len(factors)
     if m * (m - 1) // 2 <= max_pairs:
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     else:
         pairs = [(0, j) for j in range(1, m)]
         pairs += [(j, j + 1) for j in range(1, m - 1)]
-    lipschitz_L, _ = _pair_search(points, pairs, radius, factors, X, K, same, traces, model.p)(True)
+    lipschitz_L, _ = _pair_search(points, pairs, radius, factors, X, K, traces, model.p)(True)
 
     return SpectrumBounds(
         alpha=-neg_alpha,
         beta=sigma_max,
         row_bound_B=min(row_bound, sigma_max),
         lipschitz_L=lipschitz_L,
-        probe_count=m,
+        probe_count=len(points),
         radius=radius,
         center=center,
         n_rows=model.n,
@@ -548,8 +544,9 @@ def verify_assumptions(
     recorded Lipschitz estimate times the pair distance (up to 5% slack).
     The largest deviation, the worst pair and the largest ratio come from the
     pair search of ``probe_spectrum``'s L (``_pair_search``), all the full dense
-    `spectral_norm` loop's bit for bit. Results are empirical over the probed
-    points only.
+    `spectral_norm` loop's bit for bit; a constant-factor family's stack is the
+    center alone, so it has no pair: the largest deviation is 0, with no worst pair.
+    Results are empirical over the probed points only.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
@@ -558,9 +555,9 @@ def verify_assumptions(
     check_probeable(model)
     check_pair_budget(samples + 1)
     points = probe_points(bounds.center, bounds.radius, samples, seed)
-    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-    search = _pair_search(points, pairs, bounds.radius,
-                          *_factor_stack(model, points, bounds.radius), model.p)
+    factors, X, K, traces = _factor_stack(model, points, bounds.radius)
+    pairs = [(i, j) for i in range(len(factors)) for j in range(i + 1, len(factors))]
+    search = _pair_search(points, pairs, bounds.radius, factors, X, K, traces, model.p)
     limit = (1.0 - lam) * bounds.alpha**2 / bounds.beta
     max_dev, worst = search(False)
     # Starting from L leaves max(L, max ratio) and the smooth verdict unchanged.

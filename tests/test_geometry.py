@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from overparam.models import (
     LinearModel,
     Model,
     ShallowNetModel,
+    identity_activation,
     kron_rows,
     softplus_linear,
     tanh_linear,
@@ -54,6 +56,12 @@ def dense_deviations(model, points, pairs):
     """Reference: ||J(a) - J(b)|| by a full dense SVD for every pair."""
     jacobians = [model.jacobian(pt) for pt in points]
     return [float(np.linalg.norm(jacobians[i] - jacobians[j], 2)) for i, j in pairs]
+
+
+def stack_rows(factors, points):
+    """Each point's row of the factor stack: its own, or the center's when the stack is
+    the center alone (a constant-factor family)."""
+    return [i if len(factors) == len(points) else 0 for i in range(len(points))]
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +291,17 @@ def test_deviation_bounds_cover_every_pair(family, zoo_seed, log_radii, log_scal
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
     points.append(points[-1] * (1.0 + 2.0**-52))
-    factors, X, K, same, traces = geometry._factor_stack(
+    factors, X, K, traces = geometry._factor_stack(
         model, np.array(points), 10.0 ** max(log_radii))
+    if family == "linear":  # every point's factors are the center's: no pair to bound
+        assert len(factors) == 1
+    at = stack_rows(factors, points)
     pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
-    bounds = geometry._pair_bounds(factors, K, same, traces, pairs, model.p)
+    bounds = geometry._pair_bounds(factors, K, traces, [(at[i], at[j]) for i, j in pairs],
+                                   model.p)
     jacobians = [model.jacobian(pt) for pt in points]
     for (i, j), bound in zip(pairs, bounds):
-        if family == "linear":
-            assert bound == 0.0
-        else:
-            assert spectral_norm(jacobians[i] - jacobians[j]) <= bound
+        assert spectral_norm(jacobians[i] - jacobians[j]) <= bound
 
 
 def full_pair_loop(values, best):
@@ -336,8 +345,11 @@ def test_pair_search_is_the_full_dense_loop(family, zoo_seed, log_radii, starts,
     gaps = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
     ratios = [dev / gap if gap > 0.0 else -np.inf for dev, gap in zip(devs, gaps)]
     radius = 10.0 ** max(log_radii)
-    search = geometry._pair_search(
-        points, pairs, radius, *geometry._factor_stack(model, points, radius), model.p)
+    stack = geometry._factor_stack(model, points, radius)
+    # The search takes the stack's pairs: all of them, or none when the stack is the
+    # center alone; the reference stays the full loop over every pair of points.
+    search = geometry._pair_search(points, [(i, j) for i, j in pairs if j < len(stack[0])],
+                                   radius, *stack, model.p)
     # One search serves both extrema, as in verify_assumptions, from a starting best
     # anywhere from 0 to past the maximum.
     for ratio, values, start in [(False, devs, starts[0]), (True, ratios, starts[1])]:
@@ -408,10 +420,12 @@ def test_gram_brackets_hold_the_dense_values(family, zoo_seed, log_radii, log_sc
     for log_radius in log_radii:
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
-    factors, X, K, same, traces = geometry._factor_stack(
+    factors, X, K, traces = geometry._factor_stack(
         model, np.array(points), 10.0 ** max(log_radii))
+    at = stack_rows(factors, points)
     jacobians = [model.jacobian(pt) for pt in points]
-    for F, J, trace in zip(factors, jacobians, traces):
+    for i, J in zip(at, jacobians):
+        F, trace = factors[i], traces[i]
         assert np.array_equal(kron_rows(F, X), J)  # what geometry evaluates
         G = (F @ F.T) * K
         lower, upper, row_upper = gram_brackets(G, trace, model.p)
@@ -420,9 +434,10 @@ def test_gram_brackets_hold_the_dense_values(family, zoo_seed, log_radii, log_sc
         assert np.all(np.linalg.norm(J, axis=1) <= row_upper)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            D = factors[i] - factors[j]
+            D = factors[at[i]] - factors[at[j]]
             G = (D @ D.T) * K
-            lower, upper, _ = gram_brackets(G, np.trace(G) + traces[i] + traces[j], model.p)
+            scale = np.trace(G) + traces[at[i]] + traces[at[j]]
+            lower, upper, _ = gram_brackets(G, scale, model.p)
             assert lower[-1] <= spectral_norm(jacobians[i] - jacobians[j]) <= upper[-1]
 
 
@@ -492,15 +507,16 @@ def test_threshold_test_certifies_only_pairs_below_the_threshold(family, zoo_see
     for log_radius in log_radii:
         step = rng.standard_normal(model.p)
         points.append(theta + 10.0**log_radius * step / np.linalg.norm(step))
-    factors, X, K, same, traces = geometry._factor_stack(
+    factors, X, K, traces = geometry._factor_stack(
         model, np.array(points), 10.0 ** max(log_radii))
+    at = stack_rows(factors, points)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            D = factors[i] - factors[j]
+            D = factors[at[i]] - factors[at[j]]
             G = (D @ D.T) * K
-            scale = np.trace(G) + traces[i] + traces[j]
+            scale = np.trace(G) + traces[at[i]] + traces[at[j]]
             upper = gram_brackets(G, scale, model.p)[1][-1]
-            dev = spectral_norm(kron_rows(factors[i], X) - kron_rows(factors[j], X))
+            dev = spectral_norm(kron_rows(factors[at[i]], X) - kron_rows(factors[at[j]], X))
             gap = float(np.linalg.norm(points[i] - points[j]))
             for over in [1.0, gap] if gap > 0.0 else [1.0]:
                 value = dev / over
@@ -654,6 +670,97 @@ def test_lowrank_probe_builds_no_jacobian_through_the_model(monkeypatch):
     b = probe_spectrum(model, theta0, 1.0, samples=32, seed=5)
     assert (b.alpha, b.beta, b.row_bound_B, b.lipschitz_L) == reference
     assert calls == []
+
+
+def test_lowrank_factor_stack_traces_no_copy_of_the_stack():
+    # The stack is the only array of its size that the builder allocates: no byte
+    # view, sort or index of it. 65 low-rank factors of 50 x 400 are 10.4 MB.
+    model, theta0 = cli.lowrank_instances([50], 0, d=100, r=4)[0]
+    points = probe_points(theta0, 1.0, 64, 0)
+    model.factors(theta0)  # builds the model's cached X_i + X_i^T outside the trace
+    tracemalloc.start()
+    try:
+        factors = geometry._factor_stack(model, points, 1.0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors.shape == (65, 50, 400)
+    assert peak <= 1.2 * factors.nbytes
+
+
+def constant_factor_model(family):
+    """A family whose factors are the same at every point: linear, or a GLM or a net
+    with the identity activation."""
+    rng = np.random.default_rng(5)
+    if family == "linear":
+        return LinearModel(rng.standard_normal((6, 15)), rng.standard_normal(6)), 15
+    if family == "identity glm":
+        X = rng.standard_normal((6, 15))
+        return GLMModel(X, rng.standard_normal(6), identity_activation()), 15
+    v = rng.standard_normal(3)
+    X = rng.standard_normal((6, 5))
+    return ShallowNetModel(X, rng.standard_normal(6), v / np.linalg.norm(v),
+                           identity_activation()), 15
+
+
+@pytest.mark.parametrize("family", ["linear", "identity glm", "identity net"])
+def test_constant_factor_stack_is_the_center_alone(family):
+    model, p = constant_factor_model(family)
+    theta = np.random.default_rng(6).standard_normal(p)
+    points = probe_points(theta, 2.0, 16, 7)
+    factors, X, K, traces = geometry._factor_stack(model, points, 2.0)
+    assert factors.shape[0] == len(traces) == 1
+    assert np.array_equal(factors[0], model.factors(theta)[0])
+    b = probe_spectrum(model, theta, 2.0, samples=16, seed=7)
+    assert (b.alpha, b.beta, b.row_bound_B, b.lipschitz_L) == (
+        *dense_point_extrema(model, points), 0.0)
+    assert b.probe_count == 17  # every point drawn, though one is evaluated
+    verify_points = probe_points(theta, 2.0, 12, 8)
+    m = len(verify_points)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    devs = dense_deviations(model, verify_points, pairs)
+    assert full_pair_loop(devs, 0.0) == (0.0, None)  # the dense loop: no pair deviates
+    report = verify_assumptions(model, b, samples=12, seed=8)
+    assert (report.max_deviation, report.lipschitz_estimate, report.worst_pair) == (0.0, 0.0, None)
+    assert report.probe_count == 13 and report.bounded_ok and report.smooth_ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["glm", "lowrank", "net", "softplus glm", "ill-conditioned net"]),
+    zoo_seed=st.integers(0, 50),
+    samples=st.integers(1, 6),
+    log_radius=st.integers(-15, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_stack_keeps_points_that_tie_with_the_center(family, zoo_seed, samples,
+                                                            log_radius, seed):
+    # A path point that is a copy of the center ties with it alone: the stack keeps
+    # every point, and each extremum is still the dense loop's, bit for bit.
+    if family == "ill-conditioned net":
+        model, theta = ill_conditioned_net()
+    else:
+        model, theta = model_zoo(zoo_seed)[family.removeprefix("softplus ")]
+    if family == "softplus glm":
+        model = GLMModel(model.X, model.y, softplus_linear(0.5))
+    radius = 10.0**log_radius
+    b = probe_spectrum(model, theta, radius, samples=samples, seed=seed,
+                       trajectory_points=theta.copy()[None, :])
+    points = np.vstack([probe_points(theta, radius, samples, seed), theta[None, :]])
+    factors = geometry._factor_stack(model, points, radius)[0]
+    if len(factors) == 1:  # every drawn point rounds to the center's factors
+        assert all(np.array_equal(model.factors(pt)[0], factors[0]) for pt in points)
+    else:
+        assert len(factors) == len(points)
+    m = len(points)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    jacobians = [model.jacobian(pt) for pt in points]
+    ratios = [spectral_norm(jacobians[i] - jacobians[j]) / gap if gap > 0.0 else -np.inf
+              for (i, j), gap in zip(pairs, (float(np.linalg.norm(points[i] - points[j]))
+                                             for i, j in pairs))]
+    assert (b.alpha, b.beta, b.row_bound_B) == dense_point_extrema(model, points)
+    assert b.lipschitz_L == full_pair_loop(ratios, 0.0)[0]
+    assert b.probe_count == m
 
 
 @pytest.mark.parametrize("zoo_seed", range(4))
